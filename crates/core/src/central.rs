@@ -534,13 +534,13 @@ impl ClusterScheduler for GandivaFair {
         let min_pass = if self.obs.tracing() {
             self.planner.fold_min_passes()
         } else {
-            BTreeMap::new()
+            Vec::new()
         };
         ent.users()
             .map(|user| UserShare {
                 user,
                 tickets: ent.gpus_of(user),
-                pass: min_pass.get(&user).copied().unwrap_or(0.0),
+                pass: min_pass.get(user.index()).copied().flatten().unwrap_or(0.0),
             })
             .collect()
     }

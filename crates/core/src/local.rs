@@ -72,7 +72,9 @@ impl LocalScheduler {
     /// sync is a no-op by construction — membership and weights would both
     /// be re-derived to exactly their current values — so it returns
     /// immediately. This fast path carries most rounds at scale: only the
-    /// few servers an arrival, finish or migration touched re-derive.
+    /// few servers an arrival, finish or migration touched re-derive, and
+    /// of those only the weight-dirty ones re-apply every user's weight
+    /// (debug builds check that a clean sync's weights are all current).
     pub fn sync(
         &mut self,
         view: &SimView<'_>,
@@ -113,12 +115,28 @@ impl LocalScheduler {
             self.split.set_user_weight(info.user, w.max(1e-6));
             self.split.add_job(info.user, j, info.gang);
         }
-        // Refresh weights of all present users (entitlements may have moved).
-        let users = &mut self.user_scratch;
-        users.clear();
-        users.extend(self.split.users());
-        for &u in users.iter() {
-            self.split.set_user_weight(u, weight_of(u).max(1e-6));
+        // Refresh weights of all present users when entitlements may have
+        // moved. Clean weights are already applied: every user got
+        // `weight_of` when it was added or at the last dirty sync, and the
+        // weight source only changes when the caller marks it dirty.
+        if weights_dirty {
+            let users = &mut self.user_scratch;
+            users.clear();
+            users.extend(self.split.users());
+            for &u in users.iter() {
+                self.split.set_user_weight(u, weight_of(u).max(1e-6));
+            }
+        } else {
+            #[cfg(debug_assertions)]
+            for u in self.split.users() {
+                let applied = self.split.user_weight(u);
+                let want = weight_of(u).max(1e-6);
+                debug_assert!(
+                    applied == Some(want),
+                    "server {}: user {u} holds weight {applied:?} but a clean sync expects {want}",
+                    self.server
+                );
+            }
         }
         // With departing jobs excluded, membership differs from the resident
         // set, so the version cannot vouch for this state next round.
@@ -151,11 +169,10 @@ impl LocalScheduler {
         self.split.user_pass(user)
     }
 
-    /// Calls `f(user, pass)` for every user with jobs on this server, in
-    /// user-id order, with the same pass [`user_pass`](Self::user_pass)
-    /// reports.
-    pub fn for_each_user_pass(&self, f: impl FnMut(UserId, f64)) {
-        self.split.for_each_user_pass(f)
+    /// Calls `f(owner, pass)` for every job on this server, in job-id order
+    /// (see `SplitStride::for_each_job_pass`).
+    pub fn for_each_job_pass(&self, f: impl FnMut(UserId, f64)) {
+        self.split.for_each_job_pass(f)
     }
 }
 

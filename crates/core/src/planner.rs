@@ -21,7 +21,7 @@
 //! When no trace sink is attached (and `GfairConfig::lazy_planning` is on),
 //! the planner switches to an incremental mode: instead of syncing and
 //! re-planning every server every round, it keeps the last selection per
-//! server (`cached_run`) and only *settles* — fast-forwards the lagging
+//! server (`cached_sel`) and only *settles* — fast-forwards the lagging
 //! stride state, syncs, re-plans — servers that provably need it:
 //!
 //! * servers whose residency changed since the last round, discovered from
@@ -51,7 +51,7 @@ use crate::entitlement::Entitlements;
 use crate::local::LocalScheduler;
 use crate::pool::WorkerPool;
 use gfair_obs::{Phase, SharedObs};
-use gfair_sim::SimView;
+use gfair_sim::{RunSet, SimView};
 use gfair_stride::GangPolicy;
 use gfair_types::{JobId, ServerId, UserId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -138,9 +138,15 @@ pub(crate) struct RoundPlanner {
     expiry: BTreeSet<(u64, ServerId)>,
     /// Consumed position in the sim index's residency dirty ring.
     dirty_cursor: u64,
-    /// Last settled selection per server, nonempty selections only — the run
-    /// map lazy rounds return.
-    cached_run: BTreeMap<ServerId, Vec<JobId>>,
+    /// Last settled selection per server by `ServerId::index()` (lazy
+    /// mode), empty where nothing runs. Each lazy round copies it into a
+    /// fresh [`RunSet`] — one copy of the grants, no per-server allocation.
+    cached_sel: Vec<Vec<JobId>>,
+    /// Jobs across `cached_sel`, kept current at every settle to size each
+    /// round's run set.
+    cached_jobs: usize,
+    /// Nonempty entries of `cached_sel`, likewise.
+    cached_servers: usize,
     /// Which generations' weight vectors actually changed at the last
     /// [`refresh_weights`](Self::refresh_weights), by `GenId::index()`.
     /// Entitlements are re-derived every epoch but usually converge to the
@@ -175,6 +181,7 @@ impl RoundPlanner {
                 .max()
                 .unwrap_or(0);
             self.meta = vec![(0, 0); len];
+            self.cached_sel = vec![Vec::new(); len];
             self.expiry = self.locals.keys().map(|&s| (0, s)).collect();
         }
         if self.workers == 0 {
@@ -240,9 +247,9 @@ impl RoundPlanner {
     ///
     /// Eager mode touches every server; lazy mode (see the module docs)
     /// settles only dirty, departing-host and span-expired servers and
-    /// serves the rest from `cached_run`. Both modes, and the sequential
+    /// serves the rest from `cached_sel`. Both modes, and the sequential
     /// (`workers == 1`) and parallel eager paths, produce byte-identical run
-    /// maps: per-server planning commutes, merges re-insert in server-id
+    /// sets: per-server planning commutes, every path appends in server-id
     /// order, and a cached selection is only reused strictly within its
     /// proven quiescence span.
     pub fn plan_runs(
@@ -253,7 +260,7 @@ impl RoundPlanner {
         refreshed: bool,
         lazy_cfg: bool,
         obs: &SharedObs,
-    ) -> BTreeMap<ServerId, Vec<JobId>> {
+    ) -> RunSet {
         // Decide the mode once: traced runs need exact per-round stride
         // passes in `RoundPlanned`, so they keep the eager path.
         let lazy = *self.lazy.get_or_insert(lazy_cfg && !obs.tracing());
@@ -274,7 +281,7 @@ impl RoundPlanner {
         if lazy {
             return self.plan_runs_lazy(view, departing, min_weight, refreshed, &dropped, obs);
         }
-        let mut run: BTreeMap<ServerId, Vec<JobId>> = BTreeMap::new();
+        let mut run = RunSet::new();
         let workers = self.workers.max(1);
         let pool = &mut self.pool;
         if workers > 1 && pool.as_ref().map(WorkerPool::size) != Some(workers) {
@@ -321,10 +328,7 @@ impl RoundPlanner {
                         |u| weight_lookup(weights, u).unwrap_or(min_weight),
                         weight_dirty(server),
                     );
-                    let selected = local.plan();
-                    if !selected.is_empty() {
-                        run.insert(server, selected);
-                    }
+                    run.extend_server(server, &local.plan());
                 }
                 return;
             }
@@ -361,10 +365,8 @@ impl RoundPlanner {
                 })
                 .collect();
             pool.as_ref().expect("pool sized above").run(tasks);
-            for (server, selected) in results.into_iter().flatten() {
-                if !selected.is_empty() {
-                    run.insert(server, selected);
-                }
+            for (server, selected) in results.iter().flatten() {
+                run.extend_server(*server, selected);
             }
         });
         run
@@ -372,10 +374,10 @@ impl RoundPlanner {
 
     /// The lazy-settling round: drain the residency dirty ring, settle the
     /// union of dirty, weight-changed, departing-host and span-expired
-    /// servers (every server on ring overflow), and return the cached run
-    /// map. `refreshed` and `dropped` carry the weight-dirtiness inputs:
-    /// generations whose refreshed vector really changed, and servers whose
-    /// stale snapshot was just dropped.
+    /// servers (every server on ring overflow), and return the cached
+    /// selections as a run set. `refreshed` and `dropped` carry the
+    /// weight-dirtiness inputs: generations whose refreshed vector really
+    /// changed, and servers whose stale snapshot was just dropped.
     fn plan_runs_lazy(
         &mut self,
         view: &SimView<'_>,
@@ -384,7 +386,7 @@ impl RoundPlanner {
         refreshed: bool,
         dropped: &BTreeSet<ServerId>,
         obs: &SharedObs,
-    ) -> BTreeMap<ServerId, Vec<JobId>> {
+    ) -> RunSet {
         let r = self.cur_round + 1;
         self.cur_round = r;
         let mut settle_all = false;
@@ -431,7 +433,9 @@ impl RoundPlanner {
         let locals = &mut self.locals;
         let meta = &mut self.meta;
         let expiry = &mut self.expiry;
-        let cached = &mut self.cached_run;
+        let cached = &mut self.cached_sel;
+        let cached_jobs = &mut self.cached_jobs;
+        let cached_servers = &mut self.cached_servers;
         let gen_weights = &self.gen_weights;
         let stale_weights = &self.stale_weights;
         let changed_gens = &self.changed_gens;
@@ -485,11 +489,11 @@ impl RoundPlanner {
                 expiry.remove(&(m.1, server));
                 expiry.insert((vu, server));
                 *m = (r, vu);
-                if selected.is_empty() {
-                    cached.remove(&server);
-                } else {
-                    cached.insert(server, selected);
-                }
+                let slot = &mut cached[server.index()];
+                *cached_jobs = *cached_jobs - slot.len() + selected.len();
+                *cached_servers = *cached_servers - usize::from(!slot.is_empty())
+                    + usize::from(!selected.is_empty());
+                *slot = selected;
             };
             if settle_all {
                 for (&server, local) in locals.iter_mut() {
@@ -515,7 +519,16 @@ impl RoundPlanner {
                 }
             }
         });
-        self.cached_run.clone()
+        self.cached_run_set()
+    }
+
+    /// The cached selections as a run set, servers ascending.
+    fn cached_run_set(&self) -> RunSet {
+        let mut run = RunSet::with_capacity(self.cached_servers, self.cached_jobs);
+        for (i, selected) in self.cached_sel.iter().enumerate() {
+            run.extend_server(ServerId::new(i as u32), selected);
+        }
+        run
     }
 
     /// All-or-nothing fast-forward probe across servers: the replayable
@@ -526,15 +539,15 @@ impl RoundPlanner {
     /// Lazy mode answers from the expiry queue in O(1): every cached
     /// selection is proven through its `valid_until` round, so the whole
     /// cluster replays through the earliest one.
-    pub fn probe(&self, run: &BTreeMap<ServerId, Vec<JobId>>, k: u64) -> u64 {
+    pub fn probe(&self, run: &RunSet, k: u64) -> u64 {
         if self.lazy == Some(true) {
-            debug_assert_eq!(run, &self.cached_run, "probe against a stale plan");
+            debug_assert_eq!(run, &self.cached_run_set(), "probe against a stale plan");
             let min_vu = self.expiry.first().map(|&(vu, _)| vu).unwrap_or(u64::MAX);
             return k.min(min_vu.saturating_sub(self.cur_round));
         }
         let mut j = k;
         for (&server, local) in self.locals.iter() {
-            let expected = run.get(&server).map(Vec::as_slice).unwrap_or(&[]);
+            let expected = run.get(server).unwrap_or(&[]);
             j = j.min(local.quiescent_rounds(expected, k));
             if j == 0 {
                 return 0;
@@ -557,23 +570,23 @@ impl RoundPlanner {
         }
     }
 
-    /// Folds the best (lowest) stride pass per user across all servers, for
-    /// [`gfair_sim::ClusterScheduler::user_shares`] reporting. One pass over
-    /// the locals instead of scanning every server once per entitled user —
-    /// locals dominate users at bench scale, so this turns a
-    /// users × servers sweep into servers + users.
-    pub fn fold_min_passes(&self) -> BTreeMap<UserId, f64> {
-        let mut min_pass: BTreeMap<UserId, f64> = BTreeMap::new();
+    /// Folds the best (lowest) stride pass per user across all servers, by
+    /// `UserId::index()` (`None` for users with no job anywhere), for
+    /// [`gfair_sim::ClusterScheduler::user_shares`] reporting. One walk over
+    /// every local's jobs into a dense table; traced runs call this every
+    /// round.
+    pub fn fold_min_passes(&self) -> Vec<Option<f64>> {
+        let mut min_pass: Vec<Option<f64>> = Vec::new();
         for local in self.locals.values() {
-            local.for_each_user_pass(|u, p| {
-                min_pass
-                    .entry(u)
-                    .and_modify(|m| {
-                        if p.total_cmp(m).is_lt() {
-                            *m = p;
-                        }
-                    })
-                    .or_insert(p);
+            local.for_each_job_pass(|u, p| {
+                let i = u.index();
+                if min_pass.len() <= i {
+                    min_pass.resize(i + 1, None);
+                }
+                let slot = &mut min_pass[i];
+                if slot.is_none_or(|m| p.total_cmp(&m).is_lt()) {
+                    *slot = Some(p);
+                }
             });
         }
         min_pass

@@ -41,7 +41,7 @@ use crate::trade::{run_market_traced, Trade};
 use gfair_obs::{Obs, SharedObs, TraceEvent, UserShare};
 use gfair_sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView};
 use gfair_types::{JobId, MigrationFailReason, ServerId, SimConfig, SimDuration, SimTime, UserId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Feeds a profile observation into the estimator, announcing the inferred
@@ -523,21 +523,15 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         if self.policy.wants_rho() {
             self.last_plan_jobs.clear();
             let q = self.quantum_micros;
-            let max_idx = run
-                .values()
-                .flat_map(|jobs| jobs.iter())
-                .map(|job| job.index())
-                .max();
+            let max_idx = run.all_jobs().iter().map(|job| job.index()).max();
             if let Some(max_idx) = max_idx {
                 if self.sched_micros.len() <= max_idx {
                     self.sched_micros.resize(max_idx + 1, 0);
                 }
             }
-            for jobs in run.values() {
-                for &job in jobs {
-                    self.sched_micros[job.index()] += q;
-                    self.last_plan_jobs.push(job);
-                }
+            for &job in run.all_jobs() {
+                self.sched_micros[job.index()] += q;
+                self.last_plan_jobs.push(job);
             }
         }
         RoundPlan { run, actions }
@@ -604,13 +598,13 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         let min_pass = if self.obs.tracing() {
             self.planner.fold_min_passes()
         } else {
-            BTreeMap::new()
+            Vec::new()
         };
         ent.users()
             .map(|user| UserShare {
                 user,
                 tickets: ent.gpus_of(user),
-                pass: min_pass.get(&user).copied().unwrap_or(0.0),
+                pass: min_pass.get(user.index()).copied().flatten().unwrap_or(0.0),
             })
             .collect()
     }

@@ -37,6 +37,37 @@ pub struct UserGrant {
     pub gpus: u32,
 }
 
+/// One grant of a round, as handed to [`crate::Obs::emit_gangs`]: the
+/// fields of a [`TraceEvent::GangPacked`] event that vary within a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GangGrant {
+    /// The server.
+    pub server: ServerId,
+    /// The job.
+    pub job: JobId,
+    /// The job's owner.
+    pub user: UserId,
+    /// GPUs granted this quantum.
+    pub width: u32,
+    /// GPUs the job's gang requires.
+    pub gang: u32,
+}
+
+impl GangGrant {
+    /// The `GangPacked` event this grant stands for in round `round` at `t`.
+    pub fn event(&self, t: SimTime, round: u64) -> TraceEvent {
+        TraceEvent::GangPacked {
+            t,
+            round,
+            server: self.server,
+            job: self.job,
+            user: self.user,
+            width: self.width,
+            gang: self.gang,
+        }
+    }
+}
+
 /// One alternative a scheduler decision evaluated, inside a
 /// [`TraceEvent::Decision`] event. Lower scores are better (scores are
 /// projected loads, slacks, or prices depending on the decision site).

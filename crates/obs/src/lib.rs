@@ -34,12 +34,13 @@ mod sink;
 mod spans;
 
 pub use audit::{Auditor, Violation, ViolationKind};
-pub use event::{Candidate, Rejection, TraceEvent, UserGrant, UserShare};
+pub use event::{Candidate, GangGrant, Rejection, TraceEvent, UserGrant, UserShare};
 pub use ledger::{FairnessLedger, LedgerSummary, LedgerUserRow, RhoSummary};
 pub use metrics::{FixedHistogram, Histogram, HistogramSummary, MetricsRegistry, ObsSummary};
 pub use sink::{JsonlSink, RingHandle, RingSink, Tracer};
 pub use spans::{Phase, PhaseStats, SpanStats, PHASES};
 
+use gfair_types::SimTime;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -181,6 +182,33 @@ impl Obs {
         inner.auditor.process(&event);
         for sink in &mut inner.sinks {
             sink.record(&event);
+        }
+    }
+
+    /// Emits one round's grants as the `GangPacked` events of round
+    /// `round` at `t`, in slice order, under one lock. Equivalent to one
+    /// [`emit`](Self::emit) per grant — same event count, counters,
+    /// `gang_width` observations in order, auditor checks and violation
+    /// context, and sink records — without a lock, a metric-name lookup and
+    /// a dispatch per grant. The fairness ledger reads `RoundPlanned`
+    /// aggregates, never grants, so it is not consulted.
+    pub fn emit_gangs(&self, t: SimTime, round: u64, grants: &[GangGrant]) {
+        if grants.is_empty() {
+            return;
+        }
+        let mut inner = self.lock();
+        let inner = &mut *inner;
+        inner.events += grants.len() as u64;
+        inner.metrics.inc("gangs_packed", grants.len() as u64);
+        inner
+            .metrics
+            .observe_all("gang_width", grants.iter().map(|g| f64::from(g.width)));
+        for grant in grants {
+            let event = grant.event(t, round);
+            inner.auditor.process(&event);
+            for sink in &mut inner.sinks {
+                sink.record(&event);
+            }
         }
     }
 

@@ -314,6 +314,16 @@ impl MetricsRegistry {
         self.histograms.slot(name).observe(value);
     }
 
+    /// Records each of `values` in order into one histogram: the same
+    /// result as one [`observe`](Self::observe) per value, with one name
+    /// lookup.
+    pub fn observe_all(&mut self, name: &'static str, values: impl IntoIterator<Item = f64>) {
+        let hist = self.histograms.slot(name);
+        for value in values {
+            hist.observe(value);
+        }
+    }
+
     /// Current value of a counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)

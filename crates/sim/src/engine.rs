@@ -27,10 +27,10 @@ use crate::event::{EventKind, EventQueue};
 use crate::index::ClusterIndex;
 use crate::job::{JobRecord, JobRt, JobTable};
 use crate::report::{SimReport, WindowSample};
-use crate::sched::{Action, ClusterScheduler, ProfileReport, RoundPlan};
+use crate::sched::{Action, ClusterScheduler, ProfileReport, RoundPlan, RunSet};
 use crate::view::SimView;
 use gfair_faults::{FaultInjector, FaultPlan, MigrationFault};
-use gfair_obs::{Obs, Phase, SharedObs, TraceEvent, Violation, ViolationKind};
+use gfair_obs::{GangGrant, Obs, Phase, SharedObs, TraceEvent, Violation, ViolationKind};
 use gfair_types::{
     ClusterSpec, GfairError, JobId, JobSpec, JobState, MigrationFailReason, Result, ServerId,
     SimConfig, SimDuration, SimTime, UserSpec,
@@ -111,6 +111,17 @@ pub struct Simulation {
     /// current round number has already been granted this round. Rounds
     /// start at 1, so the vector's default of zero never collides.
     dup_stamp: Vec<u64>,
+    /// Per-(job, generation) GPU-seconds consumed and productive runtime
+    /// since the last profile report on that generation, flattened as
+    /// `job.index() * num_gens + gen.index()` and sized for every trace job
+    /// up front: [`accrue`](Self::accrue) touches both once per grant per
+    /// quantum. `JobRecord::gpu_secs_by_gen` is built from the positive
+    /// entries at [`finalize`](Self::finalize).
+    job_gen_gpu_secs: Vec<f64>,
+    job_gen_stint: Vec<SimDuration>,
+    /// The round's validated grants, collected for one batched
+    /// [`Obs::emit_gangs`] call; the buffer is reused across rounds.
+    grants: Vec<GangGrant>,
     round_limit: u64,
     /// Observability pipeline: every lifecycle and scheduling decision is
     /// emitted through it, and its online auditor can abort the run.
@@ -191,6 +202,7 @@ impl Simulation {
         let index = ClusterIndex::new(&cluster);
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         let num_gens = cluster.catalog.len().max(1);
+        let job_gen_cells = jobs.id_bound() * num_gens;
         let gpus_up = cluster.servers.iter().map(|s| s.num_gpus).sum();
         Ok(Simulation {
             cluster,
@@ -229,6 +241,9 @@ impl Simulation {
             num_gens,
             warm_stamp: Vec::new(),
             dup_stamp: Vec::new(),
+            job_gen_gpu_secs: vec![0.0; job_gen_cells],
+            job_gen_stint: vec![SimDuration::ZERO; job_gen_cells],
+            grants: Vec::new(),
             warm_serial: 1,
             round_limit: MAX_ROUNDS,
             obs: Arc::new(Obs::new()),
@@ -898,13 +913,14 @@ impl Simulation {
 
         // 1. Deliver profile reports accumulated since the last round.
         let reports = std::mem::take(&mut self.pending_reports);
-        {
-            for report in reports {
-                self.profile_reports += 1;
-                self.obs.inc("profile_reports", 1);
-                let actions = scheduler.on_profile_report(&self.view(), &report);
-                self.pending_actions.extend(actions);
-            }
+        if !reports.is_empty() {
+            let n = reports.len() as u64;
+            self.profile_reports += n;
+            self.obs.inc("profile_reports", n);
+        }
+        for report in reports {
+            let actions = scheduler.on_profile_report(&self.view(), &report);
+            self.pending_actions.extend(actions);
         }
 
         // 2. Apply actions queued by mid-round callbacks. Decisions that
@@ -929,64 +945,19 @@ impl Simulation {
         }
         self.drain_fault_notices(scheduler);
 
-        // 4. Validate and execute the run sets. Each grant is emitted as a
-        // GangPacked event so the auditor independently re-checks the same
-        // invariants the inline validation enforces.
-        //
-        // Duplicate detection stamps each granted job with the round number
-        // (`dup_stamp` defaults to 0, rounds start at 1), and per-user grant
-        // totals accumulate into a user-indexed vec — both O(1) per gang
-        // where a set insert / linear user probe would grow with the plan.
-        let mut scheduled = 0u32;
-        let mut gpus_used = 0u32;
+        // 4. Validate and execute the run sets. The round's grants go to
+        // the obs pipeline as one batch of GangPacked events, so the auditor
+        // independently re-checks the same invariants the inline validation
+        // enforces. The batch is emitted even when validation fails, so the
+        // stream holds exactly the grants that passed before the error.
         let mut grant_by_user: Vec<u32> = vec![0; self.users.len()];
-        for (&server, run) in &plan.run {
-            let srv = self
-                .cluster
-                .servers
-                .get(server.index())
-                .ok_or(GfairError::UnknownServer(server))?;
-            if self.down.contains(&server) && !run.is_empty() {
-                return Err(GfairError::ServerDown(server));
-            }
-            let mut requested = 0u32;
-            for &job in run {
-                let stamp = slot_u64(&mut self.dup_stamp, job.index());
-                if *stamp == self.rounds {
-                    return Err(GfairError::DuplicateJobInPlan(job));
-                }
-                *stamp = self.rounds;
-                let j = self.jobs.get(job).ok_or(GfairError::UnknownJob(job))?;
-                if j.info.state != JobState::Resident || j.info.server != Some(server) {
-                    return Err(GfairError::JobNotResident { job, server });
-                }
-                requested += j.info.gang;
-                let (user, gang) = (j.info.user, j.info.gang);
-                let slot = user.index();
-                if grant_by_user.len() <= slot {
-                    grant_by_user.resize(slot + 1, 0);
-                }
-                grant_by_user[slot] += gang;
-                self.obs.emit(TraceEvent::GangPacked {
-                    t: self.now,
-                    round: self.rounds,
-                    server,
-                    job,
-                    user,
-                    width: gang,
-                    gang,
-                });
-                scheduled += 1;
-            }
-            if requested > srv.num_gpus {
-                return Err(GfairError::ServerOvercommitted {
-                    server,
-                    requested,
-                    gpus: srv.num_gpus,
-                });
-            }
-            gpus_used += requested;
-        }
+        let mut grants = std::mem::take(&mut self.grants);
+        grants.clear();
+        let validated = self.validate_run(&plan.run, &mut grants, &mut grant_by_user);
+        self.obs.emit_gangs(self.now, self.rounds, &grants);
+        let scheduled = grants.len() as u32;
+        self.grants = grants;
+        let gpus_used = validated?;
 
         // Round summary: who got what, the queue depth, and the per-user
         // ticket/pass state backing the decision. The auditor checks ticket
@@ -1029,18 +1000,13 @@ impl Simulation {
             None => quantum,
         };
         if !budget.is_zero() {
-            for (&server, run) in &plan.run {
-                let gen = self.cluster.server(server).gen;
-                for &job in run {
-                    self.accrue(job, server, gen, budget);
-                }
-            }
+            self.accrue_run(&plan.run, budget);
         }
 
         // 6. Remember who ran, for next round's switch-overhead accounting.
         // Bumping the serial invalidates every previous stamp at once.
         self.warm_serial += 1;
-        for job in plan.run.values().flat_map(|jobs| jobs.iter()) {
+        for job in plan.run.all_jobs() {
             *slot_u64(&mut self.warm_stamp, job.index()) = self.warm_serial;
         }
 
@@ -1059,6 +1025,76 @@ impl Simulation {
             self.arm_round(self.now + quantum);
         }
         Ok(())
+    }
+
+    /// Validates the run sets of this round's plan: known and up servers,
+    /// resident jobs granted at most once, no server overcommitted. Each
+    /// grant that passes is appended to `grants` and its GPUs to its user's
+    /// slot in `grant_by_user`; duplicate detection stamps each granted job
+    /// with the round number (`dup_stamp` defaults to 0, rounds start at
+    /// 1). Returns the GPUs used.
+    fn validate_run(
+        &mut self,
+        run: &RunSet,
+        grants: &mut Vec<GangGrant>,
+        grant_by_user: &mut Vec<u32>,
+    ) -> Result<u32> {
+        let mut gpus_used = 0u32;
+        for (server, jobs) in run.iter() {
+            let srv = self
+                .cluster
+                .servers
+                .get(server.index())
+                .ok_or(GfairError::UnknownServer(server))?;
+            if self.down.contains(&server) {
+                return Err(GfairError::ServerDown(server));
+            }
+            let mut requested = 0u32;
+            for &job in jobs {
+                let stamp = slot_u64(&mut self.dup_stamp, job.index());
+                if *stamp == self.rounds {
+                    return Err(GfairError::DuplicateJobInPlan(job));
+                }
+                *stamp = self.rounds;
+                let j = self.jobs.get(job).ok_or(GfairError::UnknownJob(job))?;
+                if j.info.state != JobState::Resident || j.info.server != Some(server) {
+                    return Err(GfairError::JobNotResident { job, server });
+                }
+                let (user, gang) = (j.info.user, j.info.gang);
+                requested += gang;
+                let slot = user.index();
+                if grant_by_user.len() <= slot {
+                    grant_by_user.resize(slot + 1, 0);
+                }
+                grant_by_user[slot] += gang;
+                grants.push(GangGrant {
+                    server,
+                    job,
+                    user,
+                    width: gang,
+                    gang,
+                });
+            }
+            if requested > srv.num_gpus {
+                return Err(GfairError::ServerOvercommitted {
+                    server,
+                    requested,
+                    gpus: srv.num_gpus,
+                });
+            }
+            gpus_used += requested;
+        }
+        Ok(gpus_used)
+    }
+
+    /// Accrues `budget` for every job of `run`, in iteration order.
+    fn accrue_run(&mut self, run: &RunSet, budget: SimDuration) {
+        for (server, jobs) in run.iter() {
+            let gen = self.cluster.server(server).gen;
+            for &job in jobs {
+                self.accrue(job, server, gen, budget);
+            }
+        }
     }
 
     /// Replays `plan` for as many upcoming quanta as provably nothing can
@@ -1144,14 +1180,14 @@ impl Simulation {
         // (c)/(d) Per-job timers, computed only up to the probed j.
         let stint_len_us = self.config.profile_stint.as_micros();
         let q_secs = quantum.as_secs_f64();
-        for (&server, run) in &plan.run {
+        for (server, run) in plan.run.iter() {
             let gen = self.cluster.server(server).gen;
             for &job in run {
                 let rec = &self.jobs[job];
                 // (c) Quanta until the profile stint crosses its length
                 // (each replayed quantum adds exactly one full quantum of
                 // productive time; the jobs are warm, overhead is zero).
-                let s0 = rec.stint.get(&gen).copied().unwrap_or(SimDuration::ZERO);
+                let s0 = self.job_gen_stint[job.index() * self.num_gens + gen.index()];
                 let to_report = stint_len_us.saturating_sub(s0.as_micros());
                 j = j.min(to_report.div_ceil(q_us));
                 // (d) Quanta until the job finishes, mirroring `accrue`'s
@@ -1187,12 +1223,7 @@ impl Simulation {
             self.now += quantum;
             self.rounds += 1;
             self.maybe_flush_window();
-            for (&server, run) in &plan.run {
-                let gen = self.cluster.server(server).gen;
-                for &job in run {
-                    self.accrue(job, server, gen, quantum);
-                }
-            }
+            self.accrue_run(&plan.run, quantum);
         }
         // One batched trace record stands in for the per-round GangPacked +
         // RoundPlanned stream; the metrics layer replays it into the same
@@ -1203,14 +1234,12 @@ impl Simulation {
         let mut widths = Vec::with_capacity(plan.num_running());
         let mut per_user: std::collections::BTreeMap<gfair_types::UserId, u32> =
             std::collections::BTreeMap::new();
-        for run in plan.run.values() {
-            for &job in run {
-                let gang = self.jobs[job].info.gang;
-                widths.push(gang);
-                gpus_used += gang;
-                scheduled += 1;
-                *per_user.entry(self.jobs[job].info.user).or_insert(0) += gang;
-            }
+        for &job in plan.run.all_jobs() {
+            let gang = self.jobs[job].info.gang;
+            widths.push(gang);
+            gpus_used += gang;
+            scheduled += 1;
+            *per_user.entry(self.jobs[job].info.user).or_insert(0) += gang;
         }
         // The same aggregation the ledger performs over the naive path's
         // per-round GangPacked events: total granted GPUs per user,
@@ -1293,10 +1322,11 @@ impl Simulation {
         let gpu_secs = gang * run_secs;
         let base_secs = gang * progress_secs * rate;
         let user = j.info.user;
-        *j.gpu_secs_by_gen.entry(gen).or_insert(0.0) += gpu_secs;
+        let cell = job.index() * self.num_gens + gen.index();
+        self.job_gen_gpu_secs[cell] += gpu_secs;
 
         // Profiling stints (only productive time counts toward a stint).
-        let stint = j.stint.entry(gen).or_insert(SimDuration::ZERO);
+        let stint = &mut self.job_gen_stint[cell];
         *stint += run.saturating_sub(overhead);
         while *stint >= stint_len {
             *stint -= stint_len;
@@ -1401,10 +1431,21 @@ impl Simulation {
             .filter(|(_, v)| **v > 0.0)
             .map(|(i, v)| (ServerId::new(i as u32), *v))
             .collect();
+        let num_gens = self.num_gens;
+        let job_gen_gpu_secs = &self.job_gen_gpu_secs;
         let jobs = self
             .jobs
             .into_iter()
             .map(|(id, j)| {
+                // Every accrual adds a positive amount, so the positive
+                // cells are exactly the generations the job ran on.
+                let row = &job_gen_gpu_secs[id.index() * num_gens..][..num_gens];
+                let gpu_secs_by_gen = row
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| **v > 0.0)
+                    .map(|(g, v)| (gfair_types::GenId::new(g as u32), *v))
+                    .collect();
                 (
                     id,
                     JobRecord {
@@ -1416,7 +1457,7 @@ impl Simulation {
                         arrival: j.spec.arrival,
                         first_run: j.first_run,
                         finish: j.finish,
-                        gpu_secs_by_gen: j.gpu_secs_by_gen,
+                        gpu_secs_by_gen,
                         migrations: j.migrations,
                     },
                 )

@@ -53,11 +53,6 @@ pub(crate) struct JobRt {
     pub first_run: Option<SimTime>,
     /// Completion time, when finished.
     pub finish: Option<SimTime>,
-    /// Runtime accumulated per generation since the last profile report for
-    /// that generation.
-    pub stint: BTreeMap<GenId, SimDuration>,
-    /// GPU-seconds consumed per generation (gang x wall time).
-    pub gpu_secs_by_gen: BTreeMap<GenId, f64>,
     /// Number of times this job was migrated.
     pub migrations: u32,
     /// Migration attempts started, successful or not (keys the fault
@@ -91,8 +86,6 @@ impl JobRt {
             finishing: false,
             first_run: None,
             finish: None,
-            stint: BTreeMap::new(),
-            gpu_secs_by_gen: BTreeMap::new(),
             migrations: 0,
             attempts: 0,
             restore_fail: false,
@@ -132,6 +125,12 @@ impl JobTable {
     /// Number of jobs present.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// One past the largest id slot: every present id's `index()` is below
+    /// it, so per-job side tables of this length never need to grow.
+    pub fn id_bound(&self) -> usize {
+        self.slots.len()
     }
 
     /// Inserts `job` under `id`, returning the previous occupant if any.

@@ -43,5 +43,5 @@ pub mod view;
 pub use engine::Simulation;
 pub use job::{JobInfo, JobRecord};
 pub use report::{SimReport, WindowSample};
-pub use sched::{Action, ClusterScheduler, ProfileReport, RoundPlan};
+pub use sched::{Action, ClusterScheduler, ProfileReport, RoundPlan, RunSet};
 pub use view::SimView;

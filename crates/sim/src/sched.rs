@@ -10,7 +10,6 @@
 
 use crate::view::SimView;
 use gfair_types::{GenId, JobId, JobState, MigrationFailReason, ServerId, SimTime};
-use std::collections::BTreeMap;
 
 /// A placement or migration decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,13 +33,129 @@ pub enum Action {
     },
 }
 
+/// The jobs one [`RoundPlan`] runs, grouped by server.
+///
+/// A flat layout: every server's selection sits back to back in one job
+/// vector, indexed by server-ascending `(server, end)` pairs where `end` is
+/// one past that server's last job. Contents and iteration order are those
+/// of a `BTreeMap<ServerId, Vec<JobId>>` built by the same
+/// [`push`](Self::push) calls — servers ascending, each server's jobs in
+/// push order — without a node allocation per server or a tree descent per
+/// lookup. Building in server order (what every planner does) appends in
+/// O(1); a push for a server below the last one inserts in O(len).
+/// Servers with no jobs are absent.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RunSet {
+    servers: Vec<(ServerId, usize)>,
+    jobs: Vec<JobId>,
+}
+
+impl RunSet {
+    /// An empty run set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// An empty run set with room for `servers` servers and `jobs` jobs.
+    pub fn with_capacity(servers: usize, jobs: usize) -> Self {
+        RunSet {
+            servers: Vec::with_capacity(servers),
+            jobs: Vec::with_capacity(jobs),
+        }
+    }
+
+    /// Appends `job` to `server`'s selection.
+    pub fn push(&mut self, server: ServerId, job: JobId) {
+        match self.servers.last_mut() {
+            Some((last, end)) if *last == server => {
+                self.jobs.push(job);
+                *end += 1;
+            }
+            Some(&mut (last, _)) if last > server => self.insert_before_last(server, job),
+            _ => {
+                self.jobs.push(job);
+                self.servers.push((server, self.jobs.len()));
+            }
+        }
+    }
+
+    /// Appends a whole selection for `server` (nothing when `jobs` is
+    /// empty), equivalent to pushing each job in turn.
+    pub fn extend_server(&mut self, server: ServerId, jobs: &[JobId]) {
+        if jobs.is_empty() {
+            return;
+        }
+        if self.servers.last().is_none_or(|&(last, _)| last < server) {
+            self.jobs.extend_from_slice(jobs);
+            self.servers.push((server, self.jobs.len()));
+        } else {
+            for &job in jobs {
+                self.push(server, job);
+            }
+        }
+    }
+
+    /// The out-of-order case of [`push`](Self::push): `server` sorts below
+    /// the last server present.
+    fn insert_before_last(&mut self, server: ServerId, job: JobId) {
+        let (i, at) = match self.servers.binary_search_by_key(&server, |&(s, _)| s) {
+            Ok(i) => (i, self.servers[i].1),
+            Err(i) => {
+                let start = if i == 0 { 0 } else { self.servers[i - 1].1 };
+                self.servers.insert(i, (server, start));
+                (i, start)
+            }
+        };
+        self.jobs.insert(at, job);
+        for entry in &mut self.servers[i..] {
+            entry.1 += 1;
+        }
+    }
+
+    /// `(server, selection)` pairs, servers ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (ServerId, &[JobId])> + '_ {
+        let jobs = &self.jobs;
+        let mut start = 0;
+        self.servers.iter().map(move |&(server, end)| {
+            let run = &jobs[start..end];
+            start = end;
+            (server, run)
+        })
+    }
+
+    /// `server`'s selection, if it runs anything.
+    pub fn get(&self, server: ServerId) -> Option<&[JobId]> {
+        let i = self
+            .servers
+            .binary_search_by_key(&server, |&(s, _)| s)
+            .ok()?;
+        let start = if i == 0 { 0 } else { self.servers[i - 1].1 };
+        Some(&self.jobs[start..self.servers[i].1])
+    }
+
+    /// Every scheduled job, in iteration order.
+    pub fn all_jobs(&self) -> &[JobId] {
+        &self.jobs
+    }
+
+    /// Total number of scheduled jobs.
+    pub fn len(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// True when nothing runs anywhere.
+    pub fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+}
+
 /// One quantum's scheduling decision.
 #[derive(Debug, Clone, Default)]
 pub struct RoundPlan {
     /// Jobs to run this quantum, per server. Jobs listed must be resident on
     /// that server and schedulable; gang sizes must fit within the server's
     /// GPUs. Servers may be omitted (nothing runs there).
-    pub run: BTreeMap<ServerId, Vec<JobId>>,
+    pub run: RunSet,
     /// Placements/migrations to apply at this round boundary, before the run
     /// sets are validated. A job placed here may appear in `run`.
     pub actions: Vec<Action>,
@@ -54,12 +169,12 @@ impl RoundPlan {
 
     /// Adds a job to a server's run set (builder-style convenience).
     pub fn run_on(&mut self, server: ServerId, job: JobId) {
-        self.run.entry(server).or_default().push(job);
+        self.run.push(server, job);
     }
 
     /// Total number of jobs scheduled across all servers.
     pub fn num_running(&self) -> usize {
-        self.run.values().map(|v| v.len()).sum()
+        self.run.len()
     }
 }
 
@@ -206,6 +321,8 @@ pub trait ClusterScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn round_plan_builder() {
@@ -215,7 +332,69 @@ mod tests {
         p.run_on(ServerId::new(0), JobId::new(2));
         p.run_on(ServerId::new(3), JobId::new(7));
         assert_eq!(p.num_running(), 3);
-        assert_eq!(p.run[&ServerId::new(0)], vec![JobId::new(1), JobId::new(2)]);
+        assert_eq!(
+            p.run.get(ServerId::new(0)),
+            Some(&[JobId::new(1), JobId::new(2)][..])
+        );
+        assert_eq!(p.run.get(ServerId::new(1)), None);
+        assert_eq!(
+            p.run.all_jobs(),
+            &[JobId::new(1), JobId::new(2), JobId::new(7)]
+        );
+    }
+
+    /// The `BTreeMap` layout the flat run set replaced, as the oracle.
+    fn oracle_of(pushes: &[(u32, u32)]) -> BTreeMap<ServerId, Vec<JobId>> {
+        let mut map: BTreeMap<ServerId, Vec<JobId>> = BTreeMap::new();
+        for &(s, j) in pushes {
+            map.entry(ServerId::new(s)).or_default().push(JobId::new(j));
+        }
+        map
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random `run_on` sequences — in order, out of order, repeated
+        /// servers, whole-selection appends — give the flat run set exactly
+        /// the iteration order, lookups and size of the map it replaced.
+        /// Each op is (server, job, whole): `whole` appends a three-job
+        /// selection through `extend_server` instead of a single push.
+        #[test]
+        fn run_set_matches_btreemap_oracle(
+            ops in collection::vec((0u32..12, 0u32..1000, 0u8..4), 0..40),
+        ) {
+            let mut plan = RoundPlan::empty();
+            let mut pushes = Vec::new();
+            for (s, j, whole) in ops {
+                if whole == 0 {
+                    let jobs = [JobId::new(j), JobId::new(j + 1), JobId::new(j + 2)];
+                    plan.run.extend_server(ServerId::new(s), &jobs);
+                    pushes.extend([(s, j), (s, j + 1), (s, j + 2)]);
+                } else {
+                    plan.run_on(ServerId::new(s), JobId::new(j));
+                    pushes.push((s, j));
+                }
+            }
+            let oracle = oracle_of(&pushes);
+            let flat: Vec<(ServerId, Vec<JobId>)> =
+                plan.run.iter().map(|(s, jobs)| (s, jobs.to_vec())).collect();
+            let expected: Vec<(ServerId, Vec<JobId>)> = oracle.clone().into_iter().collect();
+            prop_assert_eq!(flat, expected);
+            for s in 0..13 {
+                let server = ServerId::new(s);
+                prop_assert_eq!(
+                    plan.run.get(server),
+                    oracle.get(&server).map(Vec::as_slice)
+                );
+            }
+            let all: Vec<JobId> = oracle.values().flatten().copied().collect();
+            prop_assert_eq!(plan.run.all_jobs(), all.as_slice());
+            prop_assert_eq!(
+                plan.num_running(),
+                oracle.values().map(Vec::len).sum::<usize>()
+            );
+        }
     }
 
     #[test]

@@ -205,20 +205,15 @@ impl<U: Copy + Ord, J: Copy + Ord> SplitStride<U, J> {
             .min_by(f64::total_cmp)
     }
 
-    /// Calls `f(user, pass)` for every user with at least one registered
-    /// job here, in user order, with the same effective pass
-    /// [`user_pass`](Self::user_pass) would report. One walk over the user
-    /// table, for callers that need every user's pass rather than one.
-    pub fn for_each_user_pass(&self, mut f: impl FnMut(U, f64)) {
-        for (&u, entry) in &self.users {
-            if let Some(pass) = entry
-                .jobs
-                .iter()
-                .filter_map(|&j| self.inner.pass_of(j))
-                .min_by(f64::total_cmp)
-            {
-                f(u, pass);
-            }
+    /// Calls `f(owner, pass)` for every registered job, in job order: one
+    /// in-order walk of the job and client tables, for callers that fold
+    /// every user's [`user_pass`](Self::user_pass) at once. A minimum under
+    /// `total_cmp` does not depend on the order it is folded in.
+    pub fn for_each_job_pass(&self, mut f: impl FnMut(U, f64)) {
+        // Both tables are keyed by job and hold exactly the registered jobs.
+        for ((&j, &u), (k, _, _, pass)) in self.job_user.iter().zip(self.inner.iter()) {
+            debug_assert!(j == k, "job and client tables out of step");
+            f(u, pass);
         }
     }
 
@@ -319,6 +314,27 @@ mod tests {
             .min_by(f64::total_cmp)
             .unwrap();
         assert_eq!(u, min_job);
+        // Folding every job's pass per owner reproduces `user_pass` for
+        // each user with jobs, and skips a user holding only a weight.
+        s.set_user_weight(1, 50.0);
+        s.add_job(1, 3, 2);
+        s.set_user_weight(2, 10.0);
+        for _ in 0..3 {
+            s.plan_round();
+        }
+        let mut folded: BTreeMap<u32, f64> = BTreeMap::new();
+        s.for_each_job_pass(|u, p| {
+            let m = folded.entry(u).or_insert(p);
+            if p.total_cmp(m).is_lt() {
+                *m = p;
+            }
+        });
+        let expected: BTreeMap<u32, f64> = [0, 1, 2]
+            .into_iter()
+            .filter_map(|u| s.user_pass(u).map(|p| (u, p)))
+            .collect();
+        assert_eq!(folded, expected);
+        assert!(!folded.contains_key(&2));
     }
 
     #[test]

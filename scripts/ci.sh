@@ -37,6 +37,14 @@ cargo bench --workspace -- --test
 cargo run --release -p gfair-bench --bin bench_sim -- --quick \
     --out target/BENCH_sim.quick.json
 
+echo "### benchmark self-check (paper-200-month, traced)"
+# One short traced run of the gfair benchmark (perfbench/). It fails unless
+# every report is byte-identical across the timing decorators and planning
+# worker counts, the per-layer time table closes to within 5% of wall time,
+# and every count metric repeats exactly between traced repetitions. The
+# timings it prints are informational only.
+python3 perfbench/run.py --workload paper-200-month --seed 42 --seconds 5 --trace 1
+
 echo "### policy zoo smoke (P1 faceoff, 2h horizon)"
 # Runs all three AllocPolicy implementations (gfair, gavel-hetero,
 # themis-ftf) end-to-end on a short horizon. Catches a policy that
