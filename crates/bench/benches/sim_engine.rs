@@ -26,7 +26,7 @@ fn bench_sim_hour(c: &mut Criterion) {
                 let trace = TraceBuilder::new(params, 3).build(&users);
                 let sim =
                     Simulation::new(cluster, users, trace, SimConfig::default()).expect("valid");
-                let mut sched = GandivaFair::new(GfairConfig::default());
+                let mut sched = GandivaFair::from_config(GfairConfig::default());
                 sim.run_until(&mut sched, SimTime::from_secs(3600))
                     .expect("valid run")
             });

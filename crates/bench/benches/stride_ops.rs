@@ -1,26 +1,8 @@
-//! Criterion micro-benchmarks for the scheduling primitives: classic stride
-//! pick+charge, gang-aware round planning, and split-stride round planning.
+//! Criterion micro-benchmarks for the scheduling primitives: gang-aware
+//! round planning and split-stride round planning.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gfair_stride::{GangPolicy, GangScheduler, SplitStride, StrideScheduler};
-
-fn bench_classic_stride(c: &mut Criterion) {
-    let mut group = c.benchmark_group("classic_stride_pick_run");
-    for n in [10usize, 100, 1000] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            let mut s = StrideScheduler::new();
-            for i in 0..n as u32 {
-                s.join(i, 50.0 + (i % 7) as f64 * 10.0);
-            }
-            b.iter(|| {
-                let k = s.pick().expect("non-empty");
-                s.run(k, 1.0);
-                k
-            });
-        });
-    }
-    group.finish();
-}
+use gfair_stride::{GangPolicy, GangScheduler, SplitStride};
 
 fn bench_gang_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("gang_plan_round");
@@ -66,10 +48,5 @@ fn bench_split_stride_round(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_classic_stride,
-    bench_gang_round,
-    bench_split_stride_round
-);
+criterion_group!(benches, bench_gang_round, bench_split_stride_round);
 criterion_main!(benches);

@@ -39,7 +39,7 @@ fn run(strategy: Option<PriceStrategy>, seed: u64) -> (SimReport, f64) {
     let sim = exp_trace(
         Simulation::new(trading_cluster(), pop.users(), trace, sim_cfg).expect("valid setup"),
     );
-    let mut sched = GandivaFair::new(cfg);
+    let mut sched = GandivaFair::from_config(cfg);
     let report = sim
         .run_until(&mut sched, horizon_arg(10))
         .expect("valid run");

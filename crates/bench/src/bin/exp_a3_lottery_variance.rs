@@ -73,7 +73,7 @@ fn main() {
     println!("16 GPUs, 2 equal users x 20 one-GPU jobs, 12 h; share deviation from 0.5 per 15-min bucket\n");
 
     let mut table = Table::new(vec!["scheduler", "mean |share-0.5|", "worst bucket"]);
-    let mut gf = GandivaFair::new(GfairConfig::default());
+    let mut gf = GandivaFair::from_config(GfairConfig::default());
     let r = run(&mut gf, seed);
     let (mean, worst) = share_noise(&r);
     table.row(vec![

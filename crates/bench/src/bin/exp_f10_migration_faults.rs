@@ -45,7 +45,7 @@ fn run(fail_rate: f64, retries: u32, seed: u64) -> (SimReport, u64) {
         sim = sim.with_faults(plan);
     }
     let cfg = GfairConfig::default().with_migration_retry(retries, SimDuration::from_secs(60));
-    let mut sched = GandivaFair::new(cfg).with_obs(Arc::clone(&obs));
+    let mut sched = GandivaFair::from_config(cfg).with_obs(Arc::clone(&obs));
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .expect("valid run");

@@ -48,7 +48,7 @@ fn run(partition: bool, seed: u64) -> SimReport {
         );
         sim = sim.with_faults(plan);
     }
-    let mut sched = GandivaFair::new(GfairConfig::default()).with_obs(Arc::clone(&obs));
+    let mut sched = GandivaFair::from_config(GfairConfig::default()).with_obs(Arc::clone(&obs));
     sim.run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .expect("valid run")
 }

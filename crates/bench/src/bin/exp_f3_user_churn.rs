@@ -57,7 +57,7 @@ fn main() {
 
     let sim =
         exp_trace(Simulation::new(cluster, users, trace, sim_config(seed)).expect("valid setup"));
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(5 * 3600))
         .expect("valid run");

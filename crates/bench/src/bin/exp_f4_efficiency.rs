@@ -45,7 +45,7 @@ fn main() {
 
     let users = UserSpec::equal_users(8, 100);
     let scheds: Vec<Box<dyn ClusterScheduler>> = vec![
-        Box::new(GandivaFair::new(GfairConfig::default())),
+        Box::new(GandivaFair::from_config(GfairConfig::default())),
         Box::new(GandivaLike::new()),
         Box::new(StaticPartition::new(&testbed(), &users)),
         Box::new(Drf::new()),

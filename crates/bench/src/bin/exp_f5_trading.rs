@@ -39,7 +39,7 @@ fn run(trading: bool, seed: u64) -> (SimReport, usize) {
         Simulation::new(trading_cluster(), pop.users(), trace, sim_config(seed))
             .expect("valid setup"),
     );
-    let mut sched = GandivaFair::new(cfg);
+    let mut sched = GandivaFair::from_config(cfg);
     let report = sim
         .run_until(&mut sched, horizon_arg(10))
         .expect("valid run");

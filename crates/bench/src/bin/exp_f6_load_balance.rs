@@ -39,7 +39,7 @@ fn run(balancing: bool, seed: u64) -> SimReport {
     };
     let sim =
         exp_trace(Simulation::new(cluster, users, trace, sim_config(seed)).expect("valid setup"));
-    let mut sched = GandivaFair::new(cfg);
+    let mut sched = GandivaFair::from_config(cfg);
     sim.run_until(&mut sched, horizon_arg(12))
         .expect("valid run")
 }

@@ -59,7 +59,7 @@ fn main() {
         let sim = exp_trace(
             Simulation::new(cluster, users.clone(), trace, sim_config(seed)).expect("valid setup"),
         );
-        let mut sched = GandivaFair::new(GfairConfig::default());
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
         let start = Instant::now();
         let report = sim
             .run_until(&mut sched, SimTime::from_secs(6 * 3600))

@@ -75,7 +75,7 @@ fn main() {
         let cluster = ClusterSpec::homogeneous(1, 8);
         let users = UserSpec::equal_users(2, 100);
         let sim = exp_trace(Simulation::new(cluster, users, trace, cfg).expect("valid setup"));
-        let mut sched = GandivaFair::new(GfairConfig::default());
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
         let report = sim
             .run_until(&mut sched, SimTime::from_secs(6 * 3600))
             .expect("valid run");

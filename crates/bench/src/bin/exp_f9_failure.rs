@@ -36,7 +36,7 @@ fn run(inject: bool, seed: u64) -> SimReport {
                 .with_server_recovery(ServerId::new(k), SimTime::from_secs(5 * 3600));
         }
     }
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     sim.run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .expect("valid run")
 }

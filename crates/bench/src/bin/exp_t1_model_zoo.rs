@@ -47,7 +47,7 @@ fn main() {
         .collect();
     let sim =
         exp_trace(Simulation::new(cluster, users, trace, sim_config(seed)).expect("valid setup"));
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let _ = sim
         .run_until(&mut sched, SimTime::from_secs(12 * 3600))
         .expect("valid run");

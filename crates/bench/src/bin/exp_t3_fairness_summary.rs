@@ -52,7 +52,7 @@ fn main() {
 
     let (users, jobs) = trace();
     let scheds: Vec<Box<dyn ClusterScheduler>> = vec![
-        Box::new(GandivaFair::new(GfairConfig::default())),
+        Box::new(GandivaFair::from_config(GfairConfig::default())),
         Box::new(GandivaLike::new()),
         Box::new(StaticPartition::new(&testbed(), &users)),
         Box::new(Drf::new()),

@@ -52,7 +52,8 @@ impl fmt::Display for PolicyId {
     }
 }
 
-/// Policy toggles and tuning constants for [`crate::GandivaFair`].
+/// Policy toggles and tuning constants for the shared driver,
+/// [`crate::PolicyScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GfairConfig {
     /// Which allocation policy drives scheduling. The default is the

@@ -19,24 +19,23 @@
 //!   by relocating jobs to the generations their owners are entitled to,
 //!   and visit unprofiled generations so the profiler can learn.
 //!
-//! The central scheduler in [`central`] wires these into the
+//! The round driver in [`policy`] wires these into the
 //! [`gfair_sim::ClusterScheduler`] interface.
 //!
 //! ## The policy boundary
 //!
 //! The machinery above is policy-agnostic: placement, per-server stride
-//! planning, balancing and fast-forward live behind [`policy::AllocPolicy`]
-//! — a per-epoch allocation rule — driven by the generic
-//! [`PolicyScheduler`]. [`GandivaFair`] runs the paper's entitlement +
-//! trading rule ([`TicketTrading`]) through the same shared planner;
-//! alternative fairness formulations (Gavel-style water-filling,
-//! Themis-style finish-time fairness) plug in from the `gfair-policies`
-//! crate. See `POLICIES.md` at the repo root for the catalogue.
+//! planning, balancing, migration retry and fast-forward live behind
+//! [`policy::AllocPolicy`] — a per-epoch allocation rule — driven by the
+//! one [`PolicyScheduler`]. [`GandivaFair`] is that driver running the
+//! paper's entitlement + trading rule ([`TicketTrading`]); alternative
+//! fairness formulations (Gavel-style water-filling, Themis-style
+//! finish-time fairness) plug in from the `gfair-policies` crate. See
+//! `POLICIES.md` at the repo root for the catalogue.
 
 #![warn(missing_docs)]
 
 pub mod balance;
-pub mod central;
 pub mod config;
 pub mod entitlement;
 pub mod inputs;
@@ -48,10 +47,9 @@ mod pool;
 pub mod profiler;
 pub mod trade;
 
-pub use central::GandivaFair;
 pub use config::{GfairConfig, PolicyId};
 pub use entitlement::Entitlements;
 pub use inputs::PolicyInputs;
-pub use policy::{AllocPolicy, PolicyRound, PolicyScheduler, TicketTrading};
+pub use policy::{AllocPolicy, GandivaFair, PolicyRound, PolicyScheduler, TicketTrading};
 pub use profiler::Profiler;
 pub use trade::{run_market, Trade};

@@ -275,7 +275,7 @@ mod tests {
         // basic set arithmetic via a plain sync call pattern: a job listed
         // as departing never appears in a plan.
         // (Direct construction of SimView is engine-internal, so this is a
-        // compile-level guarantee exercised by central.rs tests.)
+        // compile-level guarantee exercised by the driver tests in policy.rs.)
         let local = LocalScheduler::new(ServerId::new(3), 4, GangPolicy::GangAware);
         assert_eq!(local.server(), ServerId::new(3));
         assert_eq!(local.num_jobs(), 0);

@@ -8,8 +8,7 @@
 //! placements issued this round but not yet applied by the engine — so that
 //! simultaneous arrivals do not pile onto one server.
 //!
-//! Extracted from the central Gandiva_fair scheduler so that every policy
-//! behind the [`crate::policy::AllocPolicy`] boundary places jobs with the
+//! Shared so that every policy behind the [`crate::policy::AllocPolicy`] boundary places jobs with the
 //! same rules, the same provenance rows, and the same tie-breaks.
 
 use crate::entitlement::Entitlements;

@@ -7,9 +7,10 @@
 //! how many GPUs of each generation is each user entitled to right now?*
 //! [`AllocPolicy`] is exactly that question; everything else — placement,
 //! per-server stride planning, migration-based balancing, degraded-mode
-//! handling, fast-forward — is common machinery provided by
-//! [`PolicyScheduler`] (the generic driver) on top of the shared
-//! `RoundPlanner` and `Placer` internals.
+//! handling, migration retry with backoff, fast-forward — is common
+//! machinery provided by [`PolicyScheduler`] (the one driver) on top of the
+//! shared `RoundPlanner` and `Placer` internals. The paper's scheduler,
+//! [`GandivaFair`], is that driver running [`TicketTrading`].
 //!
 //! ## Determinism obligations
 //!
@@ -28,20 +29,22 @@
 //! cannot change its future decisions. Opting in is sound iff the policy's
 //! allocation depends only on inputs the driver refreshes at epoch
 //! boundaries — the driver never fast-forwards across an epoch boundary,
-//! a pending job, or a due balancing pass.
+//! a pending job, a due balancing pass, or a due migration retry.
 
 use crate::balance::plan_migrations_traced;
 use crate::config::GfairConfig;
 use crate::entitlement::Entitlements;
 use crate::inputs::PolicyInputs;
-use crate::placement::Placer;
+use crate::placement::{Placer, TIE_BREAK_LOAD};
 use crate::planner::RoundPlanner;
 use crate::profiler::Profiler;
 use crate::trade::{run_market_traced, Trade};
-use gfair_obs::{Obs, SharedObs, TraceEvent, UserShare};
+use gfair_obs::{Obs, Rejection, SharedObs, TraceEvent, UserShare};
 use gfair_sim::{Action, ClusterScheduler, ProfileReport, RoundPlan, SimView};
-use gfair_types::{JobId, MigrationFailReason, ServerId, SimConfig, SimDuration, SimTime, UserId};
-use std::collections::BTreeSet;
+use gfair_types::{
+    GenId, JobId, JobState, MigrationFailReason, ServerId, SimConfig, SimDuration, SimTime, UserId,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Feeds a profile observation into the estimator, announcing the inferred
@@ -132,9 +135,8 @@ pub trait AllocPolicy {
 /// The paper's allocation policy: ticket-proportional entitlements per
 /// generation, then the big/small trading market on top.
 ///
-/// This is [`crate::GandivaFair`]'s economy behind the [`AllocPolicy`]
-/// boundary; the full gfair scheduler composes it with retry backoff and
-/// the shared driver machinery.
+/// Run by the shared driver, this is the paper's scheduler:
+/// [`GandivaFair`].
 #[derive(Debug)]
 pub struct TicketTrading {
     trading: bool,
@@ -160,7 +162,7 @@ impl TicketTrading {
 
 impl AllocPolicy for TicketTrading {
     fn name(&self) -> &'static str {
-        "gfair"
+        "gandiva-fair"
     }
 
     fn allocate(&mut self, round: &PolicyRound<'_>) -> Entitlements {
@@ -190,15 +192,29 @@ impl AllocPolicy for TicketTrading {
     }
 }
 
+/// Recovery bookkeeping for one job whose migration (or queued placement)
+/// failed: how many attempts have failed, when the next one may be issued,
+/// and which generation the failed move was targeting.
+#[derive(Debug, Clone, Copy)]
+struct RetryState {
+    /// Failed attempts observed so far in this recovery episode.
+    attempts: u32,
+    /// Earliest time the next attempt may be issued (exponential backoff).
+    next_try: SimTime,
+    /// Generation the failed move was targeting; the retry re-targets the
+    /// least-loaded reachable server of this generation.
+    gen: GenId,
+}
+
 /// Generic round driver: runs any [`AllocPolicy`] as a full
 /// [`ClusterScheduler`].
 ///
 /// The driver owns the machinery every policy shares — placement via
 /// the placer, per-server stride planning via the shared planner,
-/// migration-based balancing toward the policy's entitlements, pending-job
-/// re-placement after outages, epoch timers, optional online ρ̂ accounting,
-/// and fast-forward probing — so a policy implementation is nothing but its
-/// allocation rule.
+/// migration-based balancing toward the policy's entitlements, bounded
+/// migration retry with exponential backoff, pending-job re-placement after
+/// outages, epoch timers, optional online ρ̂ accounting, and fast-forward
+/// probing — so a policy implementation is nothing but its allocation rule.
 ///
 /// # Examples
 ///
@@ -230,6 +246,8 @@ pub struct PolicyScheduler<P: AllocPolicy> {
     active_sig: Vec<(UserId, u64)>,
     next_epoch: SimTime,
     next_balance: SimTime,
+    /// Jobs whose migration failed and is being retried with backoff.
+    retry: BTreeMap<JobId, RetryState>,
     /// Quantum length in integer microseconds, cached at init so that
     /// [`ClusterScheduler::commit_fast_forward`] (which has no view) can
     /// account skipped service exactly.
@@ -263,6 +281,7 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
             active_sig: Vec::new(),
             next_epoch: SimTime::ZERO,
             next_balance: SimTime::ZERO,
+            retry: BTreeMap::new(),
             quantum_micros: 0,
             sched_micros: Vec::new(),
             last_plan_jobs: Vec::new(),
@@ -287,6 +306,11 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
     /// The current entitlements (None before the first round).
     pub fn entitlements(&self) -> Option<&Entitlements> {
         self.ent.as_ref()
+    }
+
+    /// The profiler's current state (None before the first round).
+    pub fn profiler(&self) -> Option<&Profiler> {
+        self.profiler.as_ref()
     }
 
     /// Lazily builds the profiler, planner and placer from the cluster.
@@ -348,6 +372,126 @@ impl<P: AllocPolicy> PolicyScheduler<P> {
         self.ent = Some(ent);
         self.active_sig = active;
     }
+
+    /// Re-issues failed migrations whose backoff window has expired.
+    ///
+    /// Pending jobs (restore failures, stranded mid-flight) are left to the
+    /// placement path, which honors the same backoff; in-flight jobs wait
+    /// for their `MigrationDone`; resident jobs already sitting on the
+    /// generation the failed move was targeting count as recovered.
+    fn plan_retries(&mut self, view: &SimView<'_>, actions: &mut Vec<Action>) {
+        if self.retry.is_empty() {
+            return;
+        }
+        let now = view.now();
+        let planned: BTreeSet<JobId> = actions
+            .iter()
+            .map(|a| match a {
+                Action::Migrate { job, .. } | Action::Place { job, .. } => *job,
+            })
+            .collect();
+        let due: Vec<(JobId, RetryState)> = self
+            .retry
+            .iter()
+            .filter(|(_, r)| r.next_try <= now)
+            .map(|(&j, &r)| (j, r))
+            .collect();
+        for (job, state) in due {
+            let Some(info) = view.job(job) else {
+                self.retry.remove(&job);
+                continue;
+            };
+            match info.state {
+                JobState::Finished => {
+                    self.retry.remove(&job);
+                }
+                // The placement path owns pending jobs; in-flight jobs are
+                // resolved by their MigrationDone (or the next failure).
+                JobState::Pending | JobState::Migrating => {}
+                JobState::Resident => {
+                    let cur = info.server.expect("resident job has a server");
+                    if view.cluster().server(cur).gen == state.gen {
+                        // The job already sits where the failed move was
+                        // headed (e.g. the balancer got there first).
+                        self.retry.remove(&job);
+                        continue;
+                    }
+                    if planned.contains(&job) {
+                        continue;
+                    }
+                    let want_why = self.obs.why();
+                    let (target, considered, too_narrow, candidates) =
+                        self.placer.pick_least_loaded(
+                            view,
+                            info.gang,
+                            view.reachable_servers_of_gen(state.gen),
+                            want_why,
+                        );
+                    if let Some(to) = target {
+                        if to != cur {
+                            if want_why {
+                                let mut rejected = Vec::new();
+                                if too_narrow > 0 {
+                                    rejected.push(Rejection {
+                                        reason: "gang_too_wide_for_server".into(),
+                                        count: too_narrow,
+                                    });
+                                }
+                                self.obs.emit(TraceEvent::Decision {
+                                    t: now,
+                                    decision: "retry".to_string(),
+                                    job: Some(job),
+                                    user: Some(info.user),
+                                    chosen: format!(
+                                        "migrate to server:{} (gen:{}, attempt {})",
+                                        to.index(),
+                                        state.gen.index(),
+                                        state.attempts + 1
+                                    ),
+                                    tie_break: TIE_BREAK_LOAD.to_string(),
+                                    considered,
+                                    candidates,
+                                    rejected,
+                                });
+                            }
+                            actions.push(Action::Migrate { job, to });
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The Gandiva_fair cluster scheduler: the shared driver running the
+/// paper's entitlement + trading policy.
+///
+/// # Examples
+///
+/// ```no_run
+/// use gfair_core::{GandivaFair, GfairConfig};
+/// use gfair_sim::Simulation;
+/// use gfair_types::{ClusterSpec, SimConfig, UserSpec};
+///
+/// let cluster = ClusterSpec::paper_testbed();
+/// let users = UserSpec::equal_users(4, 100);
+/// let trace = vec![]; // build with gfair-workloads
+/// let sim = Simulation::new(cluster, users, trace, SimConfig::default()).unwrap();
+/// let mut sched = GandivaFair::from_config(GfairConfig::default());
+/// let report = sim.run(&mut sched).unwrap();
+/// ```
+pub type GandivaFair = PolicyScheduler<TicketTrading>;
+
+impl PolicyScheduler<TicketTrading> {
+    /// Creates the Gandiva_fair scheduler with the given configuration.
+    pub fn from_config(cfg: GfairConfig) -> Self {
+        PolicyScheduler::new(TicketTrading::new(&cfg), cfg)
+    }
+
+    /// Trades executed so far, with timestamps.
+    pub fn trades(&self) -> &[(SimTime, Trade)] {
+        self.policy.trades()
+    }
 }
 
 impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
@@ -399,19 +543,46 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
 
     fn on_migration_failed(
         &mut self,
-        _view: &SimView<'_>,
-        _job: JobId,
-        _to: ServerId,
+        view: &SimView<'_>,
+        job: JobId,
+        to: ServerId,
         _reason: MigrationFailReason,
     ) -> Vec<Action> {
-        // No immediate retry: `plan_round` re-places every pending job each
-        // round, so a job stranded by a failed move is picked up there. The
+        // No immediate action: the failure opens (or extends) a recovery
+        // episode that `plan_round` acts on once the backoff expires. The
         // trait default (re-dispatch through `on_job_arrival`) would queue a
         // second placement that races the round plan's — whichever lands
         // first leaves the other targeting a now-resident job, which the
-        // engine rejects as a scheduler bug. Still-resident jobs (checkpoint
-        // failure, unreachable target) are re-examined by the next balancing
-        // pass.
+        // engine rejects as a scheduler bug.
+        self.ensure_init(view);
+        let state = view.job(job).map(|j| j.state);
+        if state.is_none() || state == Some(JobState::Finished) {
+            self.retry.remove(&job);
+            return Vec::new();
+        }
+        let entry = self.retry.entry(job).or_insert(RetryState {
+            attempts: 0,
+            next_try: SimTime::ZERO,
+            gen: GenId::new(0),
+        });
+        entry.attempts += 1;
+        if entry.attempts > self.cfg.max_migration_retries {
+            // Retry budget exhausted: leave the job where the failure put
+            // it. Resident jobs stay at the source; pending jobs fall to
+            // the ordinary placement path with no backoff gate.
+            self.retry.remove(&job);
+            self.obs.inc("migration_retries_abandoned", 1);
+            return Vec::new();
+        }
+        let shift = (entry.attempts - 1).min(16);
+        entry.next_try = view.now() + self.cfg.backoff_base * (1u64 << shift);
+        entry.gen = view.cluster().server(to).gen;
+        Vec::new()
+    }
+
+    fn on_migration_done(&mut self, _view: &SimView<'_>, job: JobId) -> Vec<Action> {
+        // A landed migration ends any recovery episode for the job.
+        self.retry.remove(&job);
         Vec::new()
     }
 
@@ -467,11 +638,21 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             actions = plan_migrations_traced(&self.obs, view, ent, profiler, &self.cfg);
             self.next_balance = now + view.config().balance_interval;
         }
+        // 3. Recovery: re-issue failed migrations whose backoff expired.
+        self.plan_retries(view, &mut actions);
 
-        // 3. Re-place pending jobs (deferred arrivals, outage evictions,
-        // stranded restores).
+        // 4. Re-place pending jobs (deferred arrivals, outage evictions,
+        // stranded restores). Jobs in a backoff window after a failed
+        // migration wait until their retry is due; once placed, the
+        // placement path owns them and the retry entry is dropped.
         let retries: Vec<(JobId, UserId, u32)> = view
             .pending_jobs()
+            .filter(|j| {
+                self.retry
+                    .get(&j.id)
+                    .map(|r| r.next_try <= now)
+                    .unwrap_or(true)
+            })
             .map(|j| (j.id, j.user, j.gang))
             .collect();
         let want_why = self.obs.why();
@@ -480,6 +661,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
                 self.placer
                     .choose_server_explained(view, self.ent.as_ref(), user, gang, want_why);
             if let Some(server) = target {
+                self.retry.remove(&job);
                 // Emit only on success: an unplaceable job would otherwise
                 // flood the trace with one identical decision per round.
                 if let Some(why) = why {
@@ -499,7 +681,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             }
         }
 
-        // 4. Sync locals and collect per-server selections. Jobs involved
+        // 5. Sync locals and collect per-server selections. Jobs involved
         // in this round's actions (migrating away or just being placed) are
         // excluded from the run sets.
         let departing: BTreeSet<JobId> = actions
@@ -517,7 +699,7 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             &self.obs,
         );
 
-        // 5. Service accounting for ρ̂: every scheduled job accrues one
+        // 6. Service accounting for ρ̂: every scheduled job accrues one
         // quantum (integer micros, replayed exactly on fast-forward). One
         // resize to the round's max job index, not one per job.
         if self.policy.wants_rho() {
@@ -538,11 +720,17 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
     }
 
     fn next_decision_time(&self) -> Option<SimTime> {
-        // Epoch timers are the only internal clocks that can change a plan
-        // with otherwise-unchanged inputs.
+        // Epoch timers and retry backoffs are the only internal clocks that
+        // can change a plan with otherwise-unchanged inputs. A past retry
+        // deadline (job waiting in a non-retryable state) keeps the minimum
+        // in the past, which makes the engine's horizon collapse to zero —
+        // conservative, never wrong.
         let mut t = self.next_epoch;
         if self.cfg.balancing {
             t = t.min(self.next_balance);
+        }
+        for r in self.retry.values() {
+            t = t.min(r.next_try);
         }
         Some(t)
     }
@@ -557,8 +745,9 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
         }
         // Anything that would steer the next plan_round down a different
         // path declines: a pending job could be placed, an epoch timer
-        // could fire. The engine already bounds k by next_decision_time,
-        // so these are defensive.
+        // could fire, a due retry could re-enter the planning flow. The
+        // engine already bounds k by next_decision_time, so these are
+        // defensive.
         if view.pending_jobs().next().is_some() {
             return 0;
         }
@@ -567,6 +756,9 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
             return 0;
         }
         if self.cfg.balancing && now >= self.next_balance {
+            return 0;
+        }
+        if self.retry.values().any(|r| r.next_try <= now) {
             return 0;
         }
         self.planner.probe(&plan.run, k)
@@ -607,5 +799,262 @@ impl<P: AllocPolicy> ClusterScheduler for PolicyScheduler<P> {
                 pass: min_pass.get(user.index()).copied().flatten().unwrap_or(0.0),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gfair_sim::Simulation;
+    use gfair_types::{ClusterSpec, JobSpec, ModelProfile, SimConfig, UserSpec};
+    use std::sync::Arc;
+
+    fn mono_model() -> Arc<ModelProfile> {
+        Arc::new(ModelProfile::with_default_overheads("uni", vec![1.0]))
+    }
+
+    fn job(id: u32, user: u32, gang: u32, service: f64, at: u64) -> JobSpec {
+        JobSpec::new(
+            JobId::new(id),
+            UserId::new(user),
+            mono_model(),
+            gang,
+            service,
+            SimTime::from_secs(at),
+        )
+    }
+
+    #[test]
+    fn single_job_completes_promptly() {
+        let sim = Simulation::new(
+            ClusterSpec::homogeneous(2, 4),
+            UserSpec::equal_users(1, 100),
+            vec![job(0, 0, 2, 600.0, 0)],
+            SimConfig::default(),
+        )
+        .unwrap();
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
+        let report = sim.run(&mut sched).unwrap();
+        assert_eq!(report.finished_jobs(), 1);
+        assert_eq!(
+            report.jobs[&JobId::new(0)].finish,
+            Some(SimTime::from_secs(600))
+        );
+    }
+
+    #[test]
+    fn equal_users_get_equal_gpu_time_under_contention() {
+        // 1 server x 4 GPUs, 2 users x 4 single-GPU long jobs each.
+        let mut trace = Vec::new();
+        for u in 0..2u32 {
+            for k in 0..4u32 {
+                trace.push(job(u * 4 + k, u, 1, 50_000.0, 0));
+            }
+        }
+        let sim = Simulation::new(
+            ClusterSpec::homogeneous(1, 4),
+            UserSpec::equal_users(2, 100),
+            trace,
+            SimConfig::default(),
+        )
+        .unwrap();
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
+        let report = sim
+            .run_until(&mut sched, SimTime::from_secs(4 * 3600))
+            .unwrap();
+        let a = report.gpu_secs_of(UserId::new(0));
+        let b = report.gpu_secs_of(UserId::new(1));
+        assert!(
+            (a - b).abs() / a.max(b) < 0.02,
+            "unequal GPU time: {a} vs {b}"
+        );
+        // Work conservation: the server never idles.
+        assert!(report.utilization() > 0.99, "util {}", report.utilization());
+    }
+
+    #[test]
+    fn ticket_ratio_is_respected() {
+        let users = vec![
+            UserSpec::new(UserId::new(0), "big", 300),
+            UserSpec::new(UserId::new(1), "small", 100),
+        ];
+        let mut trace = Vec::new();
+        for u in 0..2u32 {
+            for k in 0..4u32 {
+                trace.push(job(u * 4 + k, u, 1, 50_000.0, 0));
+            }
+        }
+        let sim = Simulation::new(
+            ClusterSpec::homogeneous(1, 4),
+            users,
+            trace,
+            SimConfig::default(),
+        )
+        .unwrap();
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
+        let report = sim
+            .run_until(&mut sched, SimTime::from_secs(4 * 3600))
+            .unwrap();
+        let ratio = report.gpu_secs_of(UserId::new(0)) / report.gpu_secs_of(UserId::new(1));
+        assert!(
+            (ratio - 3.0).abs() < 0.25,
+            "expected 3x GPU time for 3x tickets, got {ratio}"
+        );
+    }
+
+    #[test]
+    fn idle_user_capacity_goes_to_active_users() {
+        // User 1 has tickets but no jobs; user 0 must get the whole cluster.
+        let users = UserSpec::equal_users(2, 100);
+        let trace = vec![job(0, 0, 4, 10_000.0, 0)];
+        let sim = Simulation::new(
+            ClusterSpec::homogeneous(1, 4),
+            users,
+            trace,
+            SimConfig::default(),
+        )
+        .unwrap();
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
+        let report = sim.run_until(&mut sched, SimTime::from_secs(3600)).unwrap();
+        assert!(report.utilization() > 0.99);
+        assert!((report.gpu_secs_of(UserId::new(0)) - 4.0 * 3600.0).abs() < 60.0);
+    }
+
+    #[test]
+    fn gangs_are_packed_across_servers() {
+        // Two 4-GPU servers; four 2-GPU jobs must spread and all run.
+        let trace: Vec<JobSpec> = (0..4).map(|i| job(i, 0, 2, 100_000.0, 0)).collect();
+        let sim = Simulation::new(
+            ClusterSpec::homogeneous(2, 4),
+            UserSpec::equal_users(1, 100),
+            trace,
+            SimConfig::default(),
+        )
+        .unwrap();
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
+        let report = sim.run_until(&mut sched, SimTime::from_secs(1800)).unwrap();
+        assert!(report.utilization() > 0.99, "util {}", report.utilization());
+    }
+
+    #[test]
+    fn profiling_migrations_learn_cross_generation_rates() {
+        let model = Arc::new(ModelProfile::new(
+            "learnme",
+            vec![1.0, 2.0, 4.0],
+            gfair_types::SimDuration::from_secs(10),
+            gfair_types::SimDuration::from_secs(10),
+        ));
+        let cluster = ClusterSpec::build(
+            gfair_types::GenCatalog::k80_p100_v100(),
+            &[("K80", 2, 4), ("P100", 1, 4), ("V100", 1, 4)],
+        );
+        let trace = vec![JobSpec::new(
+            JobId::new(0),
+            UserId::new(0),
+            model,
+            1,
+            1_000_000.0,
+            SimTime::ZERO,
+        )];
+        let sim = Simulation::new(
+            cluster,
+            UserSpec::equal_users(1, 100),
+            trace,
+            SimConfig::default(),
+        )
+        .unwrap();
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
+        let _ = sim
+            .run_until(&mut sched, SimTime::from_secs(4 * 3600))
+            .unwrap();
+        let profiler = sched.profiler().unwrap();
+        // The job was migrated around until every generation was profiled.
+        for g in 0..3u32 {
+            assert!(
+                profiler.is_profiled("learnme", GenId::new(g)),
+                "generation {g} never profiled"
+            );
+        }
+        let s = profiler
+            .speedup("learnme", GenId::new(2), GenId::new(0))
+            .unwrap();
+        assert!((s - 4.0).abs() < 0.5, "V100 speedup estimate {s}");
+    }
+
+    #[test]
+    fn trading_moves_fast_gpus_to_high_speedup_user() {
+        // User 0 runs low-speedup jobs, user 1 high-speedup jobs, cluster
+        // has scarce V100s: after profiling, trades must fire and user 1
+        // must end up consuming more V100 time than user 0.
+        let low = Arc::new(ModelProfile::new(
+            "low",
+            vec![1.0, 1.1, 1.2],
+            gfair_types::SimDuration::from_secs(5),
+            gfair_types::SimDuration::from_secs(5),
+        ));
+        let high = Arc::new(ModelProfile::new(
+            "high",
+            vec![1.0, 2.5, 5.0],
+            gfair_types::SimDuration::from_secs(5),
+            gfair_types::SimDuration::from_secs(5),
+        ));
+        let cluster = ClusterSpec::build(
+            gfair_types::GenCatalog::k80_p100_v100(),
+            &[("K80", 4, 4), ("V100", 1, 4)],
+        );
+        // Oversubscribed: each user's demand (16 GPUs) exceeds their fair
+        // share (10 GPUs) — the regime where trading fires. Under-demanded
+        // users correctly refuse to sell (tested in trade.rs).
+        let mut trace = Vec::new();
+        for k in 0..16u32 {
+            trace.push(JobSpec::new(
+                JobId::new(k),
+                UserId::new(0),
+                Arc::clone(&low),
+                1,
+                1_000_000.0,
+                SimTime::ZERO,
+            ));
+            trace.push(JobSpec::new(
+                JobId::new(100 + k),
+                UserId::new(1),
+                Arc::clone(&high),
+                1,
+                1_000_000.0,
+                SimTime::ZERO,
+            ));
+        }
+        let sim = Simulation::new(
+            cluster,
+            UserSpec::equal_users(2, 100),
+            trace,
+            SimConfig::default(),
+        )
+        .unwrap();
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
+        let report = sim
+            .run_until(&mut sched, SimTime::from_secs(6 * 3600))
+            .unwrap();
+        assert!(
+            !sched.trades().is_empty(),
+            "no trades fired despite profiled speedup gap"
+        );
+        // The catalog has three generations; this cluster populates K80
+        // (gen 0) and V100 (gen 2).
+        let v100 = GenId::new(2);
+        let low_v100 = report
+            .user_gen_gpu_secs
+            .get(&(UserId::new(0), v100))
+            .copied()
+            .unwrap_or(0.0);
+        let high_v100 = report
+            .user_gen_gpu_secs
+            .get(&(UserId::new(1), v100))
+            .copied()
+            .unwrap_or(0.0);
+        assert!(
+            high_v100 > low_v100 * 1.5,
+            "V100 time did not shift to the high-speedup user: low {low_v100}, high {high_v100}"
+        );
     }
 }

@@ -87,7 +87,7 @@ fn run(lazy: bool, trading: bool) -> (SimReport, usize, u64) {
         trading,
         ..GfairConfig::default().with_planning_workers(1)
     };
-    let mut sched = GandivaFair::new(cfg).with_obs(Arc::clone(&obs));
+    let mut sched = GandivaFair::from_config(cfg).with_obs(Arc::clone(&obs));
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(5 * 3600))
         .expect("clean run");

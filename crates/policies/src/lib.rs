@@ -28,7 +28,7 @@ mod themis;
 pub use gavel::{water_fill, water_fill_naive, water_fill_solve, GavelHetero, WfSolve, WfUser};
 pub use themis::ThemisFtf;
 
-use gfair_core::{GandivaFair, GfairConfig, PolicyId, PolicyScheduler};
+use gfair_core::{GfairConfig, PolicyId, PolicyScheduler, TicketTrading};
 use gfair_obs::SharedObs;
 use gfair_sim::ClusterScheduler;
 
@@ -63,7 +63,9 @@ pub const REGISTRY: [PolicyInfo; 3] = [
 /// so scheduler-side and engine-side events land in one ordered trace.
 pub fn build_policy(cfg: GfairConfig, obs: SharedObs) -> Box<dyn ClusterScheduler> {
     match cfg.policy {
-        PolicyId::Gfair => Box::new(GandivaFair::new(cfg).with_obs(obs)),
+        PolicyId::Gfair => {
+            Box::new(PolicyScheduler::new(TicketTrading::new(&cfg), cfg).with_obs(obs))
+        }
         PolicyId::GavelHetero => {
             Box::new(PolicyScheduler::new(GavelHetero::new(), cfg).with_obs(obs))
         }
@@ -91,8 +93,8 @@ mod tests {
         for id in PolicyId::ALL {
             let cfg = GfairConfig::default().with_policy(id);
             let sched = build_policy(cfg, std::sync::Arc::new(gfair_obs::Obs::new()));
-            // The gfair policy id maps to the full GandivaFair scheduler,
-            // which keeps its historical report name.
+            // The gfair policy keeps the paper scheduler's historical
+            // report name.
             let expected = match id {
                 PolicyId::Gfair => "gandiva-fair",
                 _ => id.name(),

@@ -239,8 +239,8 @@ impl<K: Copy + Ord> GangScheduler<K> {
         }
     }
 
-    /// Changes a client's tickets, rescaling pending pass debt (see
-    /// [`crate::classic::StrideScheduler::set_tickets`]).
+    /// Changes a client's tickets, rescaling its pending pass debt so the
+    /// change takes effect smoothly (Waldspurger's ticket modulation).
     ///
     /// # Panics
     ///

@@ -39,7 +39,7 @@ fn main() {
         .with_server_recovery(ServerId::new(3), SimTime::from_secs(2 * 3600))
         .with_ticket_change(UserId::new(0), SimTime::from_secs(3 * 3600), 300);
 
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(4 * 3600))
         .expect("valid scheduling decisions");

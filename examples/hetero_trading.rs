@@ -32,7 +32,7 @@ fn run(trading: bool, seed: u64) -> (SimReport, usize) {
     };
     let sim = Simulation::new(cluster, pop.users(), trace, SimConfig::default())
         .expect("valid configuration");
-    let mut sched = GandivaFair::new(cfg);
+    let mut sched = GandivaFair::from_config(cfg);
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .expect("valid scheduling decisions");

@@ -52,7 +52,7 @@ fn main() {
 
     let sim = Simulation::new(cluster, users.clone(), trace, SimConfig::default())
         .expect("valid configuration");
-    let mut scheduler = GandivaFair::new(GfairConfig::default());
+    let mut scheduler = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut scheduler, SimTime::from_secs(5 * 3600))
         .expect("valid scheduling decisions");

@@ -21,7 +21,7 @@ fn main() {
     // Simulate under the Gandiva_fair scheduler.
     let sim = Simulation::new(cluster, users.clone(), trace, SimConfig::default())
         .expect("valid configuration");
-    let mut scheduler = GandivaFair::new(GfairConfig::default());
+    let mut scheduler = GandivaFair::from_config(GfairConfig::default());
     let report = sim.run(&mut scheduler).expect("valid scheduling decisions");
 
     println!("scheduler        : {}", report.scheduler);

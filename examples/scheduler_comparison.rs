@@ -33,7 +33,7 @@ fn run(mut sched: Box<dyn ClusterScheduler>) -> SimReport {
 fn main() {
     let (cluster, users, _) = trace_and_users();
     let schedulers: Vec<Box<dyn ClusterScheduler>> = vec![
-        Box::new(GandivaFair::new(GfairConfig::default())),
+        Box::new(GandivaFair::from_config(GfairConfig::default())),
         Box::new(GandivaLike::new()),
         Box::new(StaticPartition::new(&cluster, &users)),
         Box::new(Drf::new()),

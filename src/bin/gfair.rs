@@ -160,7 +160,7 @@ fn make_scheduler(
         return Ok(build_policy(cfg.with_policy(policy), Arc::clone(obs)));
     }
     Ok(match name {
-        "gandiva-fair" => Box::new(GandivaFair::new(cfg).with_obs(Arc::clone(obs))),
+        "gandiva-fair" => Box::new(GandivaFair::from_config(cfg).with_obs(Arc::clone(obs))),
         "gandiva-like" => Box::new(GandivaLike::new()),
         "static" => Box::new(StaticPartition::new(cluster, users)),
         "drf" => Box::new(Drf::new()),

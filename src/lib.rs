@@ -41,7 +41,7 @@
 //! let trace = TraceBuilder::new(params, 7).build(&users);
 //!
 //! let sim = Simulation::new(cluster, users, trace, SimConfig::default()).unwrap();
-//! let mut scheduler = GandivaFair::new(GfairConfig::default());
+//! let mut scheduler = GandivaFair::from_config(GfairConfig::default());
 //! let report = sim.run(&mut scheduler).unwrap();
 //! assert_eq!(report.finished_jobs(), 40);
 //! ```

@@ -36,7 +36,7 @@ fn failed_server_evicts_and_work_continues_elsewhere() {
     let sim = Simulation::new(cluster, users, trace, SimConfig::default())
         .unwrap()
         .with_server_failure(ServerId::new(1), SimTime::from_secs(3600));
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(2 * 3600))
         .unwrap();
@@ -62,7 +62,7 @@ fn recovery_brings_capacity_back() {
         .unwrap()
         .with_server_failure(ServerId::new(1), SimTime::from_secs(3600))
         .with_server_recovery(ServerId::new(1), SimTime::from_secs(2 * 3600));
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(3 * 3600))
         .unwrap();
@@ -87,7 +87,7 @@ fn all_baselines_survive_failure_and_recovery() {
     let cluster = ClusterSpec::homogeneous(2, 4);
     let users = UserSpec::equal_users(2, 100);
     let mut scheds: Vec<Box<dyn ClusterScheduler>> = vec![
-        Box::new(GandivaFair::new(GfairConfig::default())),
+        Box::new(GandivaFair::from_config(GfairConfig::default())),
         Box::new(GandivaLike::new()),
         Box::new(StaticPartition::new(&cluster, &users)),
         Box::new(Drf::new()),
@@ -237,7 +237,7 @@ fn ticket_change_shifts_shares_mid_run() {
     let sim = Simulation::new(cluster, users, trace, SimConfig::default())
         .unwrap()
         .with_ticket_change(UserId::new(0), SimTime::from_secs(2 * 3600), 300);
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(4 * 3600))
         .unwrap();

@@ -28,7 +28,7 @@ fn run(seed: u64, workers: usize, tag: &str) -> (String, Vec<u8>) {
         .with_server_failure(ServerId::new(2), SimTime::from_secs(2 * 3600))
         .with_server_recovery(ServerId::new(2), SimTime::from_secs(4 * 3600))
         .with_obs(Arc::clone(&obs));
-    let mut sched = GandivaFair::new(GfairConfig::default().with_planning_workers(workers))
+    let mut sched = GandivaFair::from_config(GfairConfig::default().with_planning_workers(workers))
         .with_obs(Arc::clone(&obs));
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
@@ -53,7 +53,7 @@ fn run_untraced(seed: u64, cfg: GfairConfig) -> String {
         .unwrap()
         .with_server_failure(ServerId::new(2), SimTime::from_secs(2 * 3600))
         .with_server_recovery(ServerId::new(2), SimTime::from_secs(4 * 3600));
-    let mut sched = GandivaFair::new(cfg);
+    let mut sched = GandivaFair::from_config(cfg);
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .expect("clean run");

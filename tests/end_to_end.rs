@@ -27,7 +27,7 @@ fn run_with(sched: &mut dyn ClusterScheduler, seed: u64, horizon_hours: u64) -> 
 fn all_schedulers_drive_the_paper_testbed() {
     let (cluster, users, _) = setup(1);
     let mut scheds: Vec<Box<dyn ClusterScheduler>> = vec![
-        Box::new(GandivaFair::new(GfairConfig::default())),
+        Box::new(GandivaFair::from_config(GfairConfig::default())),
         Box::new(GandivaLike::new()),
         Box::new(StaticPartition::new(&cluster, &users)),
         Box::new(Drf::new()),
@@ -59,7 +59,7 @@ fn gandiva_fair_runs_trace_to_completion() {
     let (cluster, users, trace) = setup(2);
     let n = trace.len();
     let sim = Simulation::new(cluster, users, trace, SimConfig::default()).unwrap();
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim.run(&mut sched).unwrap();
     assert_eq!(report.finished_jobs(), n, "all jobs must finish");
     // Every job record is self-consistent.
@@ -77,7 +77,7 @@ fn gandiva_fair_runs_trace_to_completion() {
 #[test]
 fn same_seed_same_everything() {
     let run = || {
-        let mut sched = GandivaFair::new(GfairConfig::default());
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
         run_with(&mut sched, 3, 6)
     };
     let a = run();
@@ -87,8 +87,8 @@ fn same_seed_same_everything() {
 
 #[test]
 fn different_seeds_change_outcomes() {
-    let mut s1 = GandivaFair::new(GfairConfig::default());
-    let mut s2 = GandivaFair::new(GfairConfig::default());
+    let mut s1 = GandivaFair::from_config(GfairConfig::default());
+    let mut s2 = GandivaFair::from_config(GfairConfig::default());
     let a = run_with(&mut s1, 4, 6);
     let b = run_with(&mut s2, 5, 6);
     assert_ne!(
@@ -112,7 +112,7 @@ fn gandiva_fair_matches_efficiency_pole_and_beats_partitioning() {
         let sim = Simulation::new(cluster, users, trace, SimConfig::default()).unwrap();
         sim.run_until(sched, SimTime::from_secs(10 * 3600)).unwrap()
     }
-    let mut gf = GandivaFair::new(GfairConfig::default());
+    let mut gf = GandivaFair::from_config(GfairConfig::default());
     let gf_report = heavy(&mut gf, 6);
 
     let cluster = ClusterSpec::paper_testbed();

@@ -26,7 +26,7 @@ fn job_count_does_not_buy_cluster_share() {
     let cluster = ClusterSpec::homogeneous(2, 8);
     let users = UserSpec::equal_users(2, 100);
     let sim = Simulation::new(cluster, users, trace, SimConfig::default()).unwrap();
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(6 * 3600))
         .unwrap();
@@ -63,7 +63,7 @@ fn gandiva_like_rewards_job_flooding_gandiva_fair_does_not() {
         "baseline should reward flooding, ratio {gl_ratio}"
     );
 
-    let mut gf = GandivaFair::new(GfairConfig::default());
+    let mut gf = GandivaFair::from_config(GfairConfig::default());
     let gf_report = build()
         .run_until(&mut gf, SimTime::from_secs(4 * 3600))
         .unwrap();
@@ -89,7 +89,7 @@ fn tickets_weight_cluster_share() {
         SimConfig::default(),
     )
     .unwrap();
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(6 * 3600))
         .unwrap();
@@ -110,7 +110,7 @@ fn shares_converge_after_churn() {
     let cluster = ClusterSpec::homogeneous(2, 8);
     let users = UserSpec::equal_users(3, 100);
     let sim = Simulation::new(cluster, users, trace, SimConfig::default()).unwrap();
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(5 * 3600))
         .unwrap();
@@ -144,7 +144,7 @@ fn fairness_holds_on_random_traces_across_seeds() {
             SimConfig::default().with_seed(seed),
         )
         .unwrap();
-        let mut sched = GandivaFair::new(GfairConfig::default());
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
         let report = sim
             .run_until(&mut sched, SimTime::from_secs(4 * 3600))
             .unwrap();
@@ -183,7 +183,7 @@ fn gang_sizes_do_not_distort_user_shares() {
     let cluster = ClusterSpec::homogeneous(4, 8);
     let users = UserSpec::equal_users(2, 100);
     let sim = Simulation::new(cluster, users, trace, SimConfig::default()).unwrap();
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(6 * 3600))
         .unwrap();

@@ -42,7 +42,7 @@ fn run_mode(
     } else {
         GfairConfig::default().without_fast_forward()
     };
-    let mut sched = GandivaFair::new(cfg).with_obs(Arc::clone(&obs));
+    let mut sched = GandivaFair::from_config(cfg).with_obs(Arc::clone(&obs));
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .expect("clean run");

@@ -14,6 +14,9 @@
 //!    before its target server fails is counted in `stale_migrations` AND
 //!    routed through the scheduler's retry path, so the job is re-placed
 //!    instead of silently dropped.
+//!
+//! Recovery and the race run under every allocation policy: retry is
+//! driver machinery, not part of any one policy.
 
 use gfair::prelude::*;
 use proptest::prelude::*;
@@ -58,7 +61,7 @@ fn run_faulted(seed: u64, workers: usize, plan: FaultPlan, tag: &str) -> (String
         .unwrap()
         .with_faults(plan)
         .with_obs(Arc::clone(&obs));
-    let mut sched = GandivaFair::new(GfairConfig::default().with_planning_workers(workers))
+    let mut sched = GandivaFair::from_config(GfairConfig::default().with_planning_workers(workers))
         .with_obs(Arc::clone(&obs));
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
@@ -110,6 +113,12 @@ fn fault_seed_changes_outcomes() {
 /// server instead of being stranded pending forever.
 #[test]
 fn queued_decision_racing_a_failure_is_counted_and_retried() {
+    for policy in PolicyId::ALL {
+        queued_decision_race(policy);
+    }
+}
+
+fn queued_decision_race(policy: PolicyId) {
     let cluster = ClusterSpec::homogeneous(3, 4);
     let users = UserSpec::equal_users(1, 100);
     let model = Arc::new(ModelProfile::with_default_overheads("uni", vec![1.0]));
@@ -132,18 +141,18 @@ fn queued_decision_racing_a_failure_is_counted_and_retried() {
         .with_server_failure(ServerId::new(0), at)
         .with_server_failure(ServerId::new(1), at)
         .with_obs(Arc::clone(&obs));
-    let mut sched = GandivaFair::new(GfairConfig::default()).with_obs(Arc::clone(&obs));
+    let mut sched = build_policy(GfairConfig::default().with_policy(policy), Arc::clone(&obs));
     let report = sim
-        .run_until(&mut sched, SimTime::from_secs(6 * 3600))
+        .run_until(sched.as_mut(), SimTime::from_secs(6 * 3600))
         .expect("clean run");
     assert_eq!(
         report.stale_migrations, 1,
-        "the raced placement must be counted"
+        "{policy}: the raced placement must be counted"
     );
     assert_eq!(
         report.finished_jobs(),
         1,
-        "the retry path must re-place the raced job on the surviving server"
+        "{policy}: the retry path must re-place the raced job on the surviving server"
     );
     // The counter and the trace-derived counter agree.
     let summary = report.obs.as_ref().expect("obs attached");
@@ -153,9 +162,10 @@ fn queued_decision_racing_a_failure_is_counted_and_retried() {
             .get("stale_migrations")
             .copied()
             .unwrap_or(0),
-        report.stale_migrations as u64
+        report.stale_migrations as u64,
+        "{policy}"
     );
-    assert_eq!(summary.violations, 0);
+    assert_eq!(summary.violations, 0, "{policy}");
 }
 
 /// A partition window freezes a server, then heals: entitlements re-sync,
@@ -181,7 +191,7 @@ fn partition_heal_restores_shares() {
         if let Some(plan) = plan {
             sim = sim.with_faults(plan);
         }
-        let mut sched = GandivaFair::new(GfairConfig::default()).with_obs(Arc::clone(&obs));
+        let mut sched = GandivaFair::from_config(GfairConfig::default()).with_obs(Arc::clone(&obs));
         sim.run_until(&mut sched, SimTime::from_secs(8 * 3600))
             .expect("clean run")
     }
@@ -248,9 +258,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random fault plans — random failure/slowdown rates, a random
-    /// partition window, a random flap — never break the online auditor:
-    /// no job is lost or duplicated across failed migrations, tickets are
-    /// conserved across partition heals, and accounting stays exact.
+    /// partition window, a random flap — never break the online auditor
+    /// under any policy: no job is lost or duplicated across failed
+    /// migrations, tickets are conserved across partition heals, and
+    /// accounting stays exact.
     #[test]
     fn random_fault_plans_keep_the_auditor_clean(
         seed in 0u64..400,
@@ -289,29 +300,33 @@ proptest! {
                 SimDuration::from_mins(20),
                 2,
             );
-        let sim = Simulation::new(
-            cluster,
-            users.clone(),
-            trace,
-            SimConfig::default().with_seed(seed),
-        )
-        .expect("valid setup")
-        .with_faults(plan);
-        let mut sched = GandivaFair::new(GfairConfig::default());
-        // A violation aborts the run, so a clean Ok is the main assertion.
-        let report = sim
-            .run_until(&mut sched, SimTime::from_secs(24 * 3600))
-            .expect("no invariant violations under random fault plans");
-        let summary = report.obs.as_ref().expect("obs attached");
-        prop_assert_eq!(summary.violations, 0);
-        // No job lost: every job either finished or is still active at the
-        // horizon — and none finished more than once (JobRecord is keyed by
-        // id, so a duplicate finish would have tripped the auditor).
-        let user_sum: f64 = report.user_gpu_secs.values().sum();
-        prop_assert!((user_sum - report.gpu_secs_used).abs() < 1e-6);
-        prop_assert!(report.gpu_secs_used <= report.gpu_secs_capacity + 1e-6);
-        // The failure counter agrees with the trace-derived counter.
-        let traced = summary.counters.get("migration_failures").copied().unwrap_or(0);
-        prop_assert_eq!(traced, report.migration_failures as u64);
+        for policy in PolicyId::ALL {
+            let sim = Simulation::new(
+                cluster.clone(),
+                users.clone(),
+                trace.clone(),
+                SimConfig::default().with_seed(seed),
+            )
+            .expect("valid setup")
+            .with_faults(plan.clone());
+            let obs = sim.obs();
+            let mut sched = build_policy(GfairConfig::default().with_policy(policy), obs);
+            // A violation aborts the run, so a clean Ok is the main assertion.
+            let report = sim
+                .run_until(sched.as_mut(), SimTime::from_secs(24 * 3600))
+                .expect("no invariant violations under random fault plans");
+            let summary = report.obs.as_ref().expect("obs attached");
+            prop_assert_eq!(summary.violations, 0);
+            // No job lost: every job either finished or is still active at
+            // the horizon — and none finished more than once (JobRecord is
+            // keyed by id, so a duplicate finish would have tripped the
+            // auditor).
+            let user_sum: f64 = report.user_gpu_secs.values().sum();
+            prop_assert!((user_sum - report.gpu_secs_used).abs() < 1e-6);
+            prop_assert!(report.gpu_secs_used <= report.gpu_secs_capacity + 1e-6);
+            // The failure counter agrees with the trace-derived counter.
+            let traced = summary.counters.get("migration_failures").copied().unwrap_or(0);
+            prop_assert_eq!(traced, report.migration_failures as u64);
+        }
     }
 }

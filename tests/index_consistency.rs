@@ -145,7 +145,7 @@ proptest! {
             SimConfig::default().with_seed(seed),
         )
         .unwrap();
-        let mut sched = Audited(GandivaFair::new(GfairConfig::default()));
+        let mut sched = Audited(GandivaFair::from_config(GfairConfig::default()));
         let report = sim
             .run_until(&mut sched, SimTime::from_secs(8 * 3600))
             .expect("clean run");
@@ -179,7 +179,7 @@ proptest! {
         .unwrap()
         .with_server_failure(ServerId::new(1), fail_at)
         .with_server_recovery(ServerId::new(1), fail_at + SimDuration::from_secs(down_mins * 60));
-        let mut sched = Audited(GandivaFair::new(GfairConfig::default()));
+        let mut sched = Audited(GandivaFair::from_config(GfairConfig::default()));
         let report = sim
             .run_until(&mut sched, SimTime::from_secs(8 * 3600))
             .expect("clean run");

@@ -31,7 +31,7 @@ fn traced_run(seed: u64, tag: &str) -> Vec<u8> {
     let sim = Simulation::new(cluster, users, trace, SimConfig::default().with_seed(seed))
         .unwrap()
         .with_obs(Arc::clone(&obs));
-    let mut sched = GandivaFair::new(GfairConfig::default()).with_obs(Arc::clone(&obs));
+    let mut sched = GandivaFair::from_config(GfairConfig::default()).with_obs(Arc::clone(&obs));
     sim.run(&mut sched).expect("clean run");
     let bytes = std::fs::read(&path).expect("read trace");
     let _ = std::fs::remove_file(&path);
@@ -54,7 +54,7 @@ fn trace_covers_the_event_taxonomy() {
     let sim = Simulation::new(cluster, users, trace, SimConfig::default())
         .unwrap()
         .with_obs(Arc::clone(&obs));
-    let mut sched = GandivaFair::new(GfairConfig::default()).with_obs(Arc::clone(&obs));
+    let mut sched = GandivaFair::from_config(GfairConfig::default()).with_obs(Arc::clone(&obs));
     sim.run(&mut sched).expect("clean run");
     let kinds: std::collections::BTreeSet<&'static str> =
         ring.events().iter().map(|e| e.kind()).collect();
@@ -114,7 +114,7 @@ fn design_md_event_table_matches_the_event_taxonomy() {
 fn auditor_is_clean_on_every_builtin_scheduler() {
     let (cluster, users, _) = setup(5);
     let mut scheds: Vec<Box<dyn ClusterScheduler>> = vec![
-        Box::new(GandivaFair::new(GfairConfig::default())),
+        Box::new(GandivaFair::from_config(GfairConfig::default())),
         Box::new(GandivaLike::new()),
         Box::new(StaticPartition::new(&cluster, &users)),
         Box::new(Drf::new()),
@@ -142,7 +142,7 @@ fn obs_summary_agrees_with_the_report() {
     let (cluster, users, trace) = setup(7);
     let n_jobs = trace.len() as u64;
     let sim = Simulation::new(cluster, users, trace, SimConfig::default()).unwrap();
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim.run(&mut sched).expect("clean run");
     let obs = report.obs.as_ref().expect("obs summary");
     assert_eq!(obs.counters["jobs_arrived"], n_jobs);
@@ -169,7 +169,7 @@ fn auditor_survives_server_failure_and_recovery() {
         .unwrap()
         .with_server_failure(ServerId::new(0), SimTime::from_secs(3600))
         .with_server_recovery(ServerId::new(0), SimTime::from_secs(3 * 3600));
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let report = sim.run(&mut sched).expect("clean run through the outage");
     let obs = report.obs.expect("obs summary");
     assert_eq!(obs.violations, 0);

@@ -80,7 +80,7 @@ proptest! {
             SimConfig::default().with_seed(seed),
         )
         .expect("valid setup");
-        let mut sched = GandivaFair::new(GfairConfig::default());
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
         let report = sim.run(&mut sched).expect("no invalid decisions");
         prop_assert_eq!(report.finished_jobs(), n, "all jobs must finish");
         check_invariants(&report, &users)?;
@@ -154,7 +154,7 @@ proptest! {
             ServerId::new(victim),
             fail_at + SimDuration::from_mins(down_mins),
         );
-        let mut sched = GandivaFair::new(GfairConfig::default());
+        let mut sched = GandivaFair::from_config(GfairConfig::default());
         let report = sim
             .run_until(&mut sched, SimTime::from_secs(24 * 3600))
             .expect("no invalid decisions under failure injection");

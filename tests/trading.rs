@@ -31,7 +31,7 @@ fn run(pop: &UserPopulation, cfg: GfairConfig, seed: u64) -> (SimReport, usize) 
         SimConfig::default().with_seed(seed),
     )
     .unwrap();
-    let mut sched = GandivaFair::new(cfg);
+    let mut sched = GandivaFair::from_config(cfg);
     let report = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .unwrap();
@@ -89,7 +89,7 @@ fn trades_flow_fast_gpus_toward_high_speedup_team() {
     params.median_service_mins = 120.0;
     let trace = pop.trace(params, 13);
     let sim = Simulation::new(hetero_cluster(), pop.users(), trace, SimConfig::default()).unwrap();
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let _ = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .unwrap();
@@ -114,7 +114,7 @@ fn midpoint_pricing_also_trades_profitably() {
     params.median_service_mins = 120.0;
     let trace = pop.trace(params, 15);
     let sim = Simulation::new(hetero_cluster(), pop.users(), trace, cfg_sim).unwrap();
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let _ = sim
         .run_until(&mut sched, SimTime::from_secs(8 * 3600))
         .unwrap();
@@ -144,7 +144,7 @@ fn homogeneous_clusters_never_trade() {
         SimConfig::default(),
     )
     .unwrap();
-    let mut sched = GandivaFair::new(GfairConfig::default());
+    let mut sched = GandivaFair::from_config(GfairConfig::default());
     let _ = sim
         .run_until(&mut sched, SimTime::from_secs(4 * 3600))
         .unwrap();
