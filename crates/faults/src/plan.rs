@@ -567,6 +567,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = FaultPlan::from_json(&deep).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let deep_field = format!(
+            "{{\"partitions\": {}{}}}",
+            "[".repeat(200_000),
+            "]".repeat(200_000)
+        );
+        assert!(FaultPlan::from_json(&deep_field).is_err());
+    }
+
+    #[test]
     fn kind_names_round_trip() {
         for kind in FaultKind::ALL {
             assert_eq!(FaultKind::from_name(kind.name()), Some(kind));

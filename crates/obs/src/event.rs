@@ -1503,8 +1503,10 @@ mod tests {
             err.contains("`job`") && err.contains("integer"),
             "unhelpful error: {err}"
         );
-        // Garbage is invalid JSON.
+        // Garbage is invalid JSON, and so is nesting past the depth limit.
         assert!(TraceEvent::from_json_line("not json").is_err());
+        let deep = "[".repeat(200_000) + &"]".repeat(200_000);
+        assert!(TraceEvent::from_json_line(&deep).is_err());
     }
 
     #[test]

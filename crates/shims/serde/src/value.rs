@@ -1,4 +1,4 @@
-//! The JSON-shaped value tree all (de)serialization flows through.
+//! The JSON-shaped value tree that parsing produces and deserialization reads.
 
 /// A dynamically-typed JSON value.
 ///

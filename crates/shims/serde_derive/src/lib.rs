@@ -8,7 +8,11 @@
 //!   several fields as an array
 //! * enums whose variants are all unit variants (variant-name strings)
 //! * the `#[serde(with = "module")]` field attribute: the module must
-//!   provide `to_value(&T) -> Value` and `from_value(&Value) -> Result<T>`
+//!   provide `serialize(&T, &mut Serializer) -> Result<(), DeError>` and
+//!   `from_value(&Value) -> Result<T, DeError>`
+//!
+//! `Serialize` impls stream: each field name is emitted as a `&'static str`
+//! literal and written straight into the serializer's output.
 //!
 //! Anything else (generics, lifetimes, data-carrying enum variants) is a
 //! compile error pointing here, so unsupported shapes fail fast instead of
@@ -275,69 +279,85 @@ fn compile_error(msg: &str) -> TokenStream {
     format!("compile_error!({msg:?});").parse().unwrap()
 }
 
-/// Derives `serde::Serialize` (the vendored, value-tree flavor).
+/// The signature every generated `Serialize` method shares.
+const SER_SIG: &str =
+    "(&self, s: &mut ::serde::Serializer) -> ::std::result::Result<(), ::serde::DeError>";
+
+/// Derives `serde::Serialize` (the vendored, streaming flavor): the impl
+/// writes JSON straight into the `serde::Serializer`.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let shape = match parse_item(input) {
         Ok(s) => s,
         Err(e) => return compile_error(&e),
     };
-    let code = match shape {
+    let (name, body) = match shape {
         Shape::Named { name, fields } => {
-            let mut pushes = String::new();
+            let mut entries = String::new();
             for f in &fields {
-                let expr = match &f.with {
-                    Some(path) => format!("{path}::to_value(&self.{})", f.name),
-                    None => format!("::serde::Serialize::to_value(&self.{})", f.name),
-                };
-                pushes.push_str(&format!(
-                    "(::std::string::String::from(\"{}\"), {expr}),",
-                    f.name
-                ));
+                let field = &f.name;
+                entries.push_str(&match &f.with {
+                    Some(path) => {
+                        format!("{path}::serialize(&self.{field}, m.key(\"{field}\")?)?;")
+                    }
+                    None => format!("m.field(\"{field}\", &self.{field})?;"),
+                });
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         ::serde::Value::Object(::std::vec![{pushes}])\n\
-                     }}\n\
-                 }}"
-            )
+            let body = if fields.is_empty() {
+                format!("fn serialize{SER_SIG} {{ s.map().end() }}")
+            } else {
+                format!(
+                    "fn serialize{SER_SIG} {{\n\
+                         let mut m = s.map();\n\
+                         {entries}\n\
+                         m.end()\n\
+                     }}"
+                )
+            };
+            (name, body)
+        }
+        Shape::Tuple { name, arity } if arity == 1 => {
+            // Newtypes are their inner value, as a value and as a map key.
+            let body = format!(
+                "fn serialize{SER_SIG} {{ ::serde::Serialize::serialize(&self.0, s) }}\n\
+                 fn serialize_key{SER_SIG} {{ ::serde::Serialize::serialize_key(&self.0, s) }}"
+            );
+            (name, body)
         }
         Shape::Tuple { name, arity } => {
-            let body = if arity == 1 {
-                "::serde::Serialize::to_value(&self.0)".to_string()
-            } else {
-                let items: Vec<String> = (0..arity)
-                    .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                    .collect();
-                format!("::serde::Value::Array(::std::vec![{}])", items.join(","))
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+            let items: String = (0..arity)
+                .map(|i| format!("q.element(&self.{i})?;"))
+                .collect();
+            let body = format!(
+                "fn serialize{SER_SIG} {{\n\
+                     let mut q = s.seq();\n\
+                     {items}\n\
+                     q.end()\n\
                  }}"
-            )
+            );
+            (name, body)
         }
         Shape::UnitEnum { name, variants } => {
             let arms: Vec<String> = variants
                 .iter()
-                .map(|v| {
-                    format!(
-                        "{name}::{v} => ::serde::Value::Str(::std::string::String::from(\"{v}\"))"
-                    )
-                })
+                .map(|v| format!("{name}::{v} => \"{v}\""))
                 .collect();
-            format!(
-                "impl ::serde::Serialize for {name} {{\n\
-                     fn to_value(&self) -> ::serde::Value {{\n\
-                         match self {{ {} }}\n\
-                     }}\n\
-                 }}",
-                arms.join(",")
-            )
+            let variant = format!("match self {{ {} }}", arms.join(","));
+            let body = format!(
+                "fn serialize{SER_SIG} {{\n\
+                     s.write_str({variant});\n\
+                     ::std::result::Result::Ok(())\n\
+                 }}\n\
+                 fn serialize_key{SER_SIG} {{\n\
+                     ::serde::Serialize::serialize(self, s)\n\
+                 }}"
+            );
+            (name, body)
         }
     };
-    code.parse().unwrap()
+    format!("impl ::serde::Serialize for {name} {{\n{body}\n}}")
+        .parse()
+        .unwrap()
 }
 
 /// Derives `serde::Deserialize` (the vendored, value-tree flavor).

@@ -1,11 +1,11 @@
 //! Offline stand-in for the `serde_json` crate.
 //!
-//! Renders and parses JSON against the vendored serde shim's [`Value`]
-//! tree. Numbers round-trip exactly: integers are emitted verbatim and
-//! floats use Rust's shortest round-trippable `Display` form.
+//! Serializes by streaming through the vendored serde shim's
+//! [`Serializer`], and parses text into its [`Value`] tree for
+//! deserialization. Numbers round-trip exactly: integers are emitted
+//! verbatim and floats use Rust's shortest round-trippable `Display` form.
 
-use serde::{DeError, Deserialize, Serialize, Value};
-use std::fmt::Write as _;
+use serde::{DeError, Deserialize, Serialize, Serializer, Value};
 
 pub use serde::Value as JsonValue;
 
@@ -20,22 +20,24 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// # Errors
 ///
 /// Returns an error if the value contains a non-finite float (JSON has no
-/// representation for NaN or infinities).
+/// representation for NaN or infinities) or a map key that is neither an
+/// integer nor a string.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0)?;
-    Ok(out)
+    let mut s = Serializer::compact();
+    value.serialize(&mut s)?;
+    Ok(s.into_string())
 }
 
 /// Serializes `value` to pretty-printed JSON (two-space indent).
 ///
 /// # Errors
 ///
-/// Returns an error if the value contains a non-finite float.
+/// Returns an error if the value contains a non-finite float or an
+/// unsupported map key.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0)?;
-    Ok(out)
+    let mut s = Serializer::pretty();
+    value.serialize(&mut s)?;
+    Ok(s.into_string())
 }
 
 /// Parses a value of type `T` from a JSON string.
@@ -48,112 +50,25 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     T::from_value(&value)
 }
 
-/// Escapes and writes a JSON string literal.
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) -> Result<()> {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Value::Float(f) => {
-            if !f.is_finite() {
-                return Err(DeError::msg("cannot serialize non-finite float as JSON"));
-            }
-            // Rust's Display for f64 is the shortest string that parses
-            // back to the same value; integral floats gain a `.0` so the
-            // number re-parses as a float.
-            if f.fract() == 0.0 && f.abs() < 1e15 {
-                let _ = write!(out, "{f:.1}");
-            } else {
-                let _ = write!(out, "{f}");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return Ok(());
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(w) = indent {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(w * (depth + 1)));
-                }
-                write_value(item, out, indent, depth + 1)?;
-            }
-            if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * depth));
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return Ok(());
-            }
-            out.push('{');
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                if let Some(w) = indent {
-                    out.push('\n');
-                    out.push_str(&" ".repeat(w * (depth + 1)));
-                }
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(val, out, indent, depth + 1)?;
-            }
-            if let Some(w) = indent {
-                out.push('\n');
-                out.push_str(&" ".repeat(w * depth));
-            }
-            out.push('}');
-        }
-    }
-    Ok(())
-}
+/// The deepest array/object nesting [`parse`] accepts, as in upstream
+/// serde_json. The parser recurses once per level, so the limit keeps a
+/// hostile document from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parses a JSON document into a [`Value`].
 ///
 /// # Errors
 ///
-/// Returns an error describing the first syntax problem encountered.
+/// Returns an error describing the first syntax problem encountered, or
+/// if arrays and objects nest deeper than [`MAX_DEPTH`].
 pub fn parse(s: &str) -> Result<Value> {
     let bytes = s.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text: s,
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -167,8 +82,11 @@ pub fn parse(s: &str) -> Result<Value> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -209,8 +127,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(DeError::msg(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if b == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
@@ -338,13 +270,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
+                    // Copy the run up to the next quote or escape at once.
+                    // Both are ASCII, so the run ends on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| DeError::msg("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -422,7 +356,7 @@ mod tests {
 
     #[test]
     fn floats_round_trip_exactly() {
-        for f in [0.1, 1.0 / 3.0, 1e-12, 6.02e23, -0.0, 12.5, 3.0] {
+        for f in [0.1f64, 1.0 / 3.0, 1e-12, 6.02e23, -0.0, 12.5, 3.0] {
             let json = to_string(&f).unwrap();
             let back: f64 = from_str(&json).unwrap();
             assert_eq!(back.to_bits(), f.to_bits(), "{f} via {json}");
@@ -473,5 +407,199 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Deep enough to overflow the stack without the limit.
+        assert!(parse(&nested(200_000)).is_err());
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(from_str::<Vec<u32>>(&objects).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_whole_runs_between_escapes() {
+        // Multi-byte runs of every width, split by escapes and `\u` pairs.
+        let run = "aé→漢😀".repeat(4_000);
+        let raw = format!("{run}\"{run}\\\n{run}\u{1}😀{run}");
+        let json = to_string(&raw).unwrap();
+        assert_eq!(from_str::<String>(&json).unwrap(), raw);
+        let escaped = format!("\"{run}\\ud83d\\ude00\\u00e9\\/{run}\"");
+        assert_eq!(
+            from_str::<String>(&escaped).unwrap(),
+            format!("{run}😀é/{run}")
+        );
+    }
+
+    #[test]
+    fn pretty_empty_containers_stay_on_one_line() {
+        assert_eq!(to_string_pretty(&Vec::<u32>::new()).unwrap(), "[]");
+        assert_eq!(
+            to_string_pretty(&BTreeMap::<u32, u32>::new()).unwrap(),
+            "{}"
+        );
+        let mut m: BTreeMap<String, (Vec<u32>, BTreeMap<u32, u32>)> = BTreeMap::new();
+        m.insert("k".into(), (Vec::new(), BTreeMap::new()));
+        assert_eq!(
+            to_string_pretty(&m).unwrap(),
+            "{\n  \"k\": [\n    [],\n    {}\n  ]\n}"
+        );
+    }
+
+    #[test]
+    fn control_characters_escape_and_non_ascii_passes_through() {
+        let s = "\u{0}\u{1}\u{1f}\u{8}\u{c}\u{7f}";
+        let json = to_string(&s).unwrap();
+        assert_eq!(json, "\"\\u0000\\u0001\\u001f\\b\\f\u{7f}\"");
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+        let wide = "é→漢😀";
+        assert_eq!(to_string(&wide).unwrap(), format!("\"{wide}\""));
+        assert_eq!(to_string(&'😀').unwrap(), "\"😀\"");
+        let mixed = "é\"漢\\😀\nz";
+        assert_eq!(
+            from_str::<String>(&to_string(&mixed).unwrap()).unwrap(),
+            mixed
+        );
+    }
+
+    #[test]
+    fn float_bytes_at_the_edges() {
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        // Integral floats below 1e15 keep a `.0`; from 1e15 on, `Display`.
+        assert_eq!(
+            to_string(&999_999_999_999_999.0f64).unwrap(),
+            "999999999999999.0"
+        );
+        assert_eq!(
+            to_string(&-999_999_999_999_999.0f64).unwrap(),
+            "-999999999999999.0"
+        );
+        assert_eq!(to_string(&1e15f64).unwrap(), "1000000000000000");
+        assert_eq!(to_string(&-1e15f64).unwrap(), "-1000000000000000");
+        // Integral floats are written from their integer digits.
+        for f in [
+            0.0,
+            1.0,
+            -42.0,
+            240.0,
+            4_294_967_296.0,
+            -123_456_789_012_345.0,
+        ] {
+            assert_eq!(to_string(&f).unwrap(), format!("{f:.1}"));
+        }
+        assert_eq!(to_string(&0.5f32).unwrap(), "0.5");
+        assert!(to_string(&vec![1.0, f64::INFINITY]).is_err());
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    enum Tier {
+        Gold,
+        Silver,
+    }
+
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+    struct Id(u32);
+
+    mod as_pairs {
+        use serde::{DeError, Deserialize, Serializer, Value};
+        use std::collections::BTreeMap;
+
+        pub fn serialize(
+            m: &BTreeMap<(u32, u32), bool>,
+            s: &mut Serializer,
+        ) -> Result<(), DeError> {
+            let mut seq = s.seq();
+            for (&(a, b), &v) in m {
+                seq.element(&(a, b, v))?;
+            }
+            seq.end()
+        }
+
+        pub fn from_value(v: &Value) -> Result<BTreeMap<(u32, u32), bool>, DeError> {
+            let triples = Vec::<(u32, u32, bool)>::from_value(v)?;
+            Ok(triples.into_iter().map(|(a, b, v)| ((a, b), v)).collect())
+        }
+    }
+
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Derived {
+        tier: Tier,
+        by_id: BTreeMap<Id, Tier>,
+        by_tier: BTreeMap<Tier, u32>,
+        #[serde(with = "as_pairs")]
+        pairs: BTreeMap<(u32, u32), bool>,
+        pair: (Id, Option<u64>),
+    }
+
+    // `Tier` is a map key above, so it needs an order.
+    impl PartialOrd for Tier {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tier {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            (matches!(self, Tier::Silver)).cmp(&matches!(other, Tier::Silver))
+        }
+    }
+    impl Eq for Tier {}
+
+    #[test]
+    fn derived_enums_newtype_keys_and_with_modules() {
+        let d = Derived {
+            tier: Tier::Silver,
+            by_id: [(Id(7), Tier::Gold), (Id(10), Tier::Silver)].into(),
+            by_tier: [(Tier::Gold, 1)].into(),
+            pairs: [((1, 2), true), ((3, 4), false)].into(),
+            pair: (Id(5), None),
+        };
+        let json = to_string(&d).unwrap();
+        assert_eq!(
+            json,
+            "{\"tier\":\"Silver\",\"by_id\":{\"7\":\"Gold\",\"10\":\"Silver\"},\
+             \"by_tier\":{\"Gold\":1},\"pairs\":[[1,2,true],[3,4,false]],\"pair\":[5,null]}"
+        );
+        assert_eq!(from_str::<Derived>(&json).unwrap(), d);
+        let pretty = to_string_pretty(&d).unwrap();
+        assert!(
+            pretty.contains("\n  \"pairs\": [\n    [\n      1,"),
+            "{pretty}"
+        );
+        assert_eq!(from_str::<Derived>(&pretty).unwrap(), d);
+    }
+
+    #[test]
+    fn hash_map_entries_sort_by_their_key_string() {
+        let m: std::collections::HashMap<u32, u8> = [(9, 0), (10, 1), (100, 2)].into();
+        assert_eq!(to_string(&m).unwrap(), "{\"10\":1,\"100\":2,\"9\":0}");
+        // Sorted by the raw key, not its escaped form: `"` (0x22) precedes
+        // `#` (0x23) although its escape `\"` starts with `\` (0x5c).
+        let m: std::collections::HashMap<&str, u8> = [("a#", 0), ("a\"", 1)].into();
+        assert_eq!(to_string(&m).unwrap(), "{\"a\\\"\":1,\"a#\":0}");
+        // `\u{1}` (0x01) precedes `\n` (0x0a), though `\u0001` sorts after `\n`.
+        let m: std::collections::HashMap<String, u8> =
+            [("a\n".into(), 0), ("a\u{1}".into(), 1), ("a\\".into(), 2)].into();
+        assert_eq!(
+            to_string(&m).unwrap(),
+            "{\"a\\u0001\":1,\"a\\n\":0,\"a\\\\\":2}"
+        );
+    }
+
+    #[test]
+    fn unsupported_map_keys_are_errors_not_panics() {
+        let m: BTreeMap<(u32, u32), u32> = [((1, 2), 3)].into();
+        let err = to_string(&m).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported map key type"),
+            "{err}"
+        );
+        let m: BTreeMap<bool, u32> = [(true, 1)].into();
+        assert!(to_string_pretty(&m).is_err());
+        let m: std::collections::HashMap<Option<u32>, u32> = [(None, 1)].into();
+        assert!(to_string(&m).is_err());
     }
 }

@@ -133,13 +133,18 @@ impl SimReport {
 /// be strings, so the map round-trips through a sequence of triples.
 mod tuple_key_map {
     use gfair_types::{GenId, UserId};
-    use serde::{DeError, Deserialize, Serialize, Value};
+    use serde::{DeError, Deserialize, Serializer, Value};
     use std::collections::BTreeMap;
 
-    pub fn to_value(map: &BTreeMap<(UserId, GenId), f64>) -> Value {
-        let entries: Vec<(UserId, GenId, f64)> =
-            map.iter().map(|(&(u, g), &v)| (u, g, v)).collect();
-        entries.to_value()
+    pub fn serialize(
+        map: &BTreeMap<(UserId, GenId), f64>,
+        s: &mut Serializer,
+    ) -> Result<(), DeError> {
+        let mut seq = s.seq();
+        for (&(u, g), &v) in map {
+            seq.element(&(u, g, v))?;
+        }
+        seq.end()
     }
 
     pub fn from_value(v: &Value) -> Result<BTreeMap<(UserId, GenId), f64>, DeError> {

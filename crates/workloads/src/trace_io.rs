@@ -80,4 +80,13 @@ mod tests {
         fs::remove_file(&path).ok();
         assert!(res.is_err());
     }
+
+    #[test]
+    fn load_deeply_nested_json_errors() {
+        let path = tmp("deep");
+        fs::write(&path, "[".repeat(200_000) + &"]".repeat(200_000)).unwrap();
+        let res = load_trace(&path);
+        fs::remove_file(&path).ok();
+        assert!(res.is_err());
+    }
 }

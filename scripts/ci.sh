@@ -21,12 +21,18 @@ cargo build --release
 echo "### cargo test"
 cargo test --workspace -q
 
-echo "### cargo doc (deny warnings: types, obs, faults, sim, core, metrics, policies)"
+echo "### shim tests"
+# The vendored offline stand-ins under crates/shims are path dependencies,
+# not workspace members, so `--workspace` skips their unit tests.
+cargo test -q -p serde -p serde_derive -p serde_json -p proptest -p rand -p rand_chacha -p criterion
+
+echo "### cargo doc (deny warnings: types, obs, faults, sim, core, metrics, policies, serde shims)"
 # These crates carry #![warn(missing_docs)]; deny rustdoc warnings so
 # public-API doc gaps fail the gate instead of rotting.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
     -p gfair-types -p gfair-obs -p gfair-faults \
-    -p gfair-sim -p gfair-core -p gfair-metrics -p gfair-policies
+    -p gfair-sim -p gfair-core -p gfair-metrics -p gfair-policies \
+    -p serde -p serde_json
 
 echo "### bench smoke"
 # Criterion micro-benches in test mode (one iteration, no measurement) and a
